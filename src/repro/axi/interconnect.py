@@ -14,8 +14,9 @@ slot, or regulator credit release), so idle cycles cost nothing.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import ConfigError, ProtocolError
 from repro.sim.kernel import Phase, Simulator
@@ -83,6 +84,14 @@ class Interconnect:
         else:
             self._next_free = {None: 0}
         self._arb_scheduled_at: Optional[int] = None
+        # Accepted transactions in their forwarding pipeline, oldest
+        # first (the latency is fixed, so they arrive in FIFO order).
+        self._forwarding: Deque[Transaction] = deque()
+        # Completed transactions on their way back to their ports,
+        # oldest first (fixed latency again, so FIFO).
+        self._responding: Deque[Tuple[MasterPort, Transaction]] = deque()
+        self._stat_accepted = self.stats.counter("accepted")
+        self._stat_accepted_bytes = self.stats.counter("accepted_bytes")
         registry = get_registry()
         self._tm_passes = registry.counter("interconnect_arb_passes")
         self._tm_accepted = registry.counter("interconnect_accepted")
@@ -121,6 +130,7 @@ class Interconnect:
         self._arb_scheduled_at = at
         self.sim.schedule_at(at, self._arbitrate, priority=Phase.ARBITER)
 
+    # repro: hot -- once per arbitration pass
     def _arbitrate(self) -> None:
         self._arb_scheduled_at = None
         self._tm_passes.inc()
@@ -131,13 +141,25 @@ class Interconnect:
                 continue
             if self._arbitrate_channel(direction, now):
                 progressed = True
-        if progressed:
-            # More candidates may be waiting; try again when a channel
-            # frees up.
-            self.kick()
+        if not progressed:
+            return
+        # More candidates may be waiting; try again when a channel
+        # frees up.  With no port ready that pass would find nothing,
+        # and every transition that makes a port ready (submit,
+        # completion, regulator release, retry) kicks on its own.
+        for port in self.ports:
+            if port.ready:
+                self.kick()
+                return
 
+    # repro: hot -- once per channel per arbitration pass
     def _arbitrate_channel(self, direction: Optional[bool], now: int) -> bool:
         """One acceptance attempt on one address channel.
+
+        Only ready ports are polled: the others cannot present a head
+        and would answer ``head()`` with None without consulting their
+        regulator, so skipping them changes no denial count, retry or
+        arbiter state.
 
         Args:
             direction: False = read channel, True = write channel,
@@ -148,42 +170,53 @@ class Interconnect:
         """
         candidates = []
         for index, port in enumerate(self.ports):
+            if not port.ready:
+                continue
             txn = port.head(want_write=direction)
             if txn is not None:
                 candidates.append((index, txn))
         if not candidates:
             return False
         winner = self.arbiter.select(candidates)
+        for index, chosen in candidates:
+            if index == winner:
+                break
         # Accept by the chosen transaction's own direction: on a
         # split-channel port this selects the right queue even when
         # this interconnect runs a combined channel.
-        chosen = dict(candidates)[winner]
         txn = self.ports[winner].accept_head(want_write=chosen.is_write)
-        self.stats.counter("accepted").add()
-        self.stats.counter("accepted_bytes").add(txn.nbytes)
+        self._stat_accepted.add()
+        self._stat_accepted_bytes.add(txn.nbytes)
         self._tm_accepted.inc()
         self._next_free[direction] = now + self.config.addr_cycles
         if self._memory is None:
             raise ProtocolError("no memory controller attached")
-        memory = self._memory
+        self._forwarding.append(txn)
         self.sim.schedule(
-            self.config.fwd_latency,
-            lambda t=txn: memory.enqueue(t),
-            priority=Phase.MEMORY,
+            self.config.fwd_latency, self._forward, priority=Phase.MEMORY
         )
         return True
+
+    def _forward(self) -> None:
+        """The oldest accepted transaction reaches the memory controller."""
+        memory = self._memory
+        assert memory is not None  # checked at acceptance
+        memory.enqueue(self._forwarding.popleft())
 
     # ------------------------------------------------------------------
     # response path
     # ------------------------------------------------------------------
     def on_mem_complete(self, txn: Transaction) -> None:
         """Route a completed transaction back to its master port."""
-        port = self._port_by_name(txn.master)
+        self._responding.append((self._port_by_name(txn.master), txn))
         self.sim.schedule(
-            self.config.resp_latency,
-            lambda t=txn: port.complete(t),
-            priority=Phase.RESPONSE,
+            self.config.resp_latency, self._respond, priority=Phase.RESPONSE
         )
+
+    def _respond(self) -> None:
+        """The oldest completed transaction lands back at its port."""
+        port, txn = self._responding.popleft()
+        port.complete(txn)
 
     def _port_by_name(self, name: str) -> MasterPort:
         try:

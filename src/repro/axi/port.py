@@ -103,7 +103,15 @@ class MasterPort:
             self._queues = {False: deque(), True: deque()}
         else:
             self._queues = {False: deque()}
+        self._queued = 0
         self._outstanding = 0
+        #: True when the port can present a head-of-line transaction:
+        #: something is queued and an outstanding slot is free.  Kept
+        #: current on every submit, accept and completion, so the
+        #: interconnect polls only ready ports (a port that is not
+        #: ready would answer ``head()`` with None without consulting
+        #: its regulator).
+        self.ready = False
         self._interconnect = None  # set by Interconnect.attach_port
         self._retry_scheduled_at: Optional[int] = None
         #: Retry kick events currently in the queue (scheduled, not
@@ -184,6 +192,8 @@ class MasterPort:
             txn.qos = self.config.qos
         txn.mark_issued(self.sim.now)
         self._queue_for(txn).append(txn)
+        self._queued += 1
+        self.ready = self._outstanding < self.config.max_outstanding
         self._stat_submitted.add()
         self._tm_issued.inc()
         self._interconnect.kick()
@@ -196,7 +206,7 @@ class MasterPort:
     @property
     def queue_depth(self) -> int:
         """Transactions waiting for address acceptance."""
-        return sum(len(q) for q in self._queues.values())
+        return self._queued
 
     @property
     def outstanding(self) -> int:
@@ -273,7 +283,11 @@ class MasterPort:
             raise ProtocolError(f"port {self.name!r}: accept with empty queue")
         txn = queue.popleft()
         txn.mark_accepted(self.sim.now)
+        self._queued -= 1
         self._outstanding += 1
+        self.ready = (
+            self._queued > 0 and self._outstanding < self.config.max_outstanding
+        )
         if self.regulator is not None:
             self.regulator.charge(txn, self.sim.now)
             if self._throttle_since is not None:
@@ -291,6 +305,7 @@ class MasterPort:
         if self._outstanding <= 0:
             raise ProtocolError(f"port {self.name!r}: completion underflow")
         self._outstanding -= 1
+        self.ready = self._queued > 0
         now = self.sim.now
         txn.mark_completed(now)
         self._stat_completed.add()
@@ -333,7 +348,7 @@ class MasterPort:
         if self.on_response is not None:
             self.on_response(txn)
         # A freed outstanding slot may unblock a head-of-line txn.
-        if self.queue_depth:
+        if self._queued:
             self._interconnect.kick()
 
     # ------------------------------------------------------------------
@@ -378,7 +393,7 @@ class MasterPort:
 
     def regulator_released(self) -> None:
         """Callback for regulators: credit became available."""
-        if self.queue_depth:
+        if self._queued:
             self._interconnect.kick()
 
     def _schedule_retry(self, at_cycle: int) -> None:
@@ -397,7 +412,7 @@ class MasterPort:
         def retry() -> None:
             self._retry_events_live -= 1
             self._retry_scheduled_at = None
-            if self.queue_depth:
+            if self._queued:
                 self._interconnect.kick()
 
         self.sim.schedule_at(at_cycle, retry, priority=Phase.MASTER)

@@ -2,8 +2,8 @@
 
 A bank tracks which row (if any) its row buffer holds and when the
 bank finishes its current command sequence.  The controller consults
-:meth:`Bank.access_latency` to classify an access (hit / miss /
-conflict) and :meth:`Bank.ready_at` for availability.
+:meth:`Bank.classify` to classify an access (hit / miss / conflict)
+and :meth:`Bank.ready_at` for availability.
 """
 
 from __future__ import annotations
@@ -53,28 +53,31 @@ class Bank:
 
     def access_latency(self, row: int, timing: DramTiming) -> int:
         """Command cycles for an access to ``row`` in the current state."""
-        kind = self.classify(row)
-        if kind == "hit":
-            return timing.hit_latency
-        if kind == "miss":
-            return timing.miss_latency
-        return timing.conflict_latency
+        return _latency(self.classify(row), timing)
 
-    def perform_access(self, row: int, start: int, timing: DramTiming) -> int:
+    def perform_access(
+        self,
+        row: int,
+        start: int,
+        timing: DramTiming,
+        kind: Optional[str] = None,
+    ) -> int:
         """Commit an access: update row buffer, stats and busy time.
 
         Args:
             row: Target row.
             start: Cycle the command sequence begins (>= ready_at()).
             timing: Timing parameters.
+            kind: ``classify(row)``, when the caller already has it.
 
         Returns:
             The cycle at which the *column data* becomes available
             (command portion finished); the data-bus transfer is
             accounted by the controller.
         """
-        kind = self.classify(row)
-        latency = self.access_latency(row, timing)
+        if kind is None:
+            kind = self.classify(row)
+        latency = _latency(kind, timing)
         if kind == "hit":
             self.hits += 1
         elif kind == "miss":
@@ -98,6 +101,10 @@ class Bank:
             self.open_row = None
             self._ready_at = max(self._ready_at, now + timing.t_rp)
 
+    def hold_until(self, cycle: int) -> None:
+        """Keep the bank busy until at least ``cycle`` (refresh)."""
+        self._ready_at = max(self._ready_at, cycle)
+
     @property
     def accesses(self) -> int:
         return self.hits + self.misses + self.conflicts
@@ -106,3 +113,12 @@ class Bank:
     def hit_rate(self) -> float:
         total = self.accesses
         return self.hits / total if total else 0.0
+
+
+def _latency(kind: str, timing: DramTiming) -> int:
+    """Command cycles of an access of class ``kind``."""
+    if kind == "hit":
+        return timing.hit_latency
+    if kind == "miss":
+        return timing.miss_latency
+    return timing.conflict_latency

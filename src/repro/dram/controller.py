@@ -21,8 +21,9 @@ buffers and blocks the data bus for ``t_rfc`` cycles.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, ProtocolError
 from repro.sim.kernel import Phase, Simulator
@@ -97,7 +98,7 @@ class DramConfig:
 
 
 class _QueueEntry:
-    __slots__ = ("txn", "arrival", "bank", "row", "bypasses", "posted")
+    __slots__ = ("txn", "arrival", "bank", "row", "bypasses", "posted", "key")
 
     def __init__(
         self,
@@ -115,6 +116,34 @@ class _QueueEntry:
         #: Posted write: already acknowledged upstream; this entry is
         #: only the drain of the buffered data to the device.
         self.posted = posted
+        #: Age order: FCFS picks the smallest key.
+        self.key = (arrival, txn.txn_id)
+
+
+def _insort(entries: List[_QueueEntry], entry: _QueueEntry) -> None:
+    """Insert ``entry`` into ``entries`` (ascending ``key``) from the right.
+
+    New entries arrive at the current cycle, so this is an append
+    unless same-cycle arrivals carry out-of-order transaction ids.
+    """
+    key = entry.key
+    i = len(entries)
+    while i and entries[i - 1].key > key:
+        i -= 1
+    entries.insert(i, entry)
+
+
+def _first_eligible(
+    entries: List[_QueueEntry], reads_only: bool, qos: Optional[int]
+) -> Optional[_QueueEntry]:
+    """The oldest entry of ``entries`` the current pick may choose."""
+    for entry in entries:
+        if reads_only and entry.posted:
+            continue
+        if qos is not None and entry.txn.qos != qos:
+            continue
+        return entry
+    return None
 
 
 class DramController:
@@ -127,7 +156,20 @@ class DramController:
         self.address_map = self.config.address_map
         self.banks = [Bank(i) for i in range(self.address_map.num_banks)]
         self.stats = StatSet("dram")
+        # The request queue in age order, and the same entries bucketed
+        # per bank by row (each bucket in age order): a bank's open-row
+        # bucket holds exactly its row hits, so the FR-FCFS pick looks
+        # at one bucket head per bank instead of classifying the queue.
         self._queue: List[_QueueEntry] = []
+        self._rows: List[Dict[int, List[_QueueEntry]]] = [
+            {} for _ in self.banks
+        ]
+        # Queued entries per (posted, AXI QoS level): the read-priority
+        # and QoS restrictions of a pick read these instead of scanning.
+        self._queued_by_qos: Tuple[List[int], List[int]] = ([0] * 16, [0] * 16)
+        # Non-posted transactions in service, in completion order (the
+        # data bus serializes them, so completions are FIFO).
+        self._completing: Deque[Transaction] = deque()
         self._upstream = None
         self._bus_free_at = 0
         # First cycle the scheduler may pick the next request.  Set to
@@ -152,6 +194,7 @@ class DramController:
         self._tm_refreshes = registry.counter("dram_refreshes")
         self._tm_turnarounds = registry.counter("dram_turnarounds")
         self._tm_queue_depth = registry.histogram("dram_queue_depth")
+        self._stat_bypasses = self.stats.counter("frfcfs_bypasses")
         if self.config.refresh_enabled and self.timing.t_refi > 0:
             self.sim.schedule(
                 self.timing.t_refi, self._refresh, priority=Phase.MEMORY,
@@ -170,6 +213,7 @@ class DramController:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
+    # repro: hot -- once per transaction
     def enqueue(self, txn: Transaction) -> None:
         """Accept a transaction from the interconnect."""
         bank, row = self.address_map.decode(txn.addr)
@@ -178,9 +222,15 @@ class DramController:
             and txn.is_write
             and self._buffered_writes < self.config.write_buffer_depth
         )
-        self._queue.append(
-            _QueueEntry(txn, self.sim.now, bank, row, posted=posted)
-        )
+        entry = _QueueEntry(txn, self.sim.now, bank, row, posted=posted)
+        _insort(self._queue, entry)
+        rows = self._rows[bank]
+        bucket = rows.get(row)
+        if bucket is None:
+            rows[row] = [entry]
+        else:
+            _insort(bucket, entry)
+        self._queued_by_qos[posted][txn.qos] += 1
         self.stats.counter("enqueued").add()
         self.stats.sampler("queue_depth").record(len(self._queue))
         self._tm_queue_depth.observe(len(self._queue))
@@ -236,6 +286,7 @@ class DramController:
         # one has started its data transfer (two-stage overlap).
         return self._pick_free_at
 
+    # repro: hot -- once per serviced request
     def _schedule_pass(self) -> None:
         self._sched_scheduled_at = None
         if not self._queue:
@@ -244,42 +295,72 @@ class DramController:
         if now < self._pick_free_at:
             self._kick()
             return
-        entry = self._pick(now)
-        self._queue.remove(entry)
+        entry = self._pick()
+        self._remove(entry)
         self._service(entry, now)
         if self._queue:
             self._kick()
 
-    def _pick(self, now: int) -> _QueueEntry:
-        """Select the next request according to the configured policy."""
-        candidates = self._queue
-        if self.config.read_priority:
-            # Read-first with drain threshold: hold buffered writes
-            # back while reads are pending, until the buffer fills to
-            # its watermark.
-            reads = [e for e in candidates if not e.posted]
-            if reads and self._buffered_writes < self.config.write_drain_watermark:
-                candidates = reads
-        if self.config.scheduler == "frfcfs_qos":
-            top_qos = max(e.txn.qos for e in candidates)
-            candidates = [e for e in candidates if e.txn.qos == top_qos]
-        oldest = min(candidates, key=lambda e: (e.arrival, e.txn.txn_id))
-        if self.config.scheduler == "fcfs":
+    # repro: hot -- once per serviced request
+    def _pick(self) -> _QueueEntry:
+        """Select the next request according to the configured policy.
+
+        Every policy is "the first eligible entry": of the queue for
+        the oldest request, of each bank's open-row bucket for the
+        oldest row hit.  Eligibility restricts to reads while
+        read-priority holds buffered writes back, and to the highest
+        AXI QoS level present under ``frfcfs_qos``.
+        """
+        config = self.config
+        queue = self._queue
+        # Read-first with drain threshold: hold buffered writes back
+        # while reads are pending, until the buffer fills to its
+        # watermark.
+        reads, posted = self._queued_by_qos
+        reads_only = (
+            config.read_priority
+            and sum(posted) < len(queue)
+            and self._buffered_writes < config.write_drain_watermark
+        )
+        qos = None
+        if config.scheduler == "frfcfs_qos":
+            qos = 15
+            while not (reads[qos] or (not reads_only and posted[qos])):
+                qos -= 1
+        oldest = _first_eligible(queue, reads_only, qos)
+        assert oldest is not None
+        if config.scheduler == "fcfs":
             return oldest
         # FR-FCFS with starvation cap.
-        hits = [
-            e for e in candidates if self.banks[e.bank].classify(e.row) == "hit"
-        ]
-        if not hits:
+        best_hit = None
+        rows = self._rows
+        for bank in self.banks:
+            open_row = bank.open_row
+            if open_row is None:
+                continue
+            bucket = rows[bank.index].get(open_row)
+            if bucket is None:
+                continue
+            hit = _first_eligible(bucket, reads_only, qos)
+            if hit is not None and (best_hit is None or hit.key < best_hit.key):
+                best_hit = hit
+        if best_hit is None or best_hit is oldest:
             return oldest
-        best_hit = min(hits, key=lambda e: (e.arrival, e.txn.txn_id))
-        if best_hit is oldest:
-            return oldest
-        if oldest.bypasses >= self.config.frfcfs_cap:
+        if oldest.bypasses >= config.frfcfs_cap:
             return oldest
         oldest.bypasses += 1
-        self.stats.counter("frfcfs_bypasses").add()
+        self._stat_bypasses.add()
         return best_hit
+
+    def _remove(self, entry: _QueueEntry) -> None:
+        """Take a picked entry out of the queue and its row bucket."""
+        self._queue.remove(entry)
+        rows = self._rows[entry.bank]
+        bucket = rows[entry.row]
+        bucket.remove(entry)
+        if not bucket:
+            del rows[entry.row]
+        self._queued_by_qos[entry.posted][entry.txn.qos] -= 1
 
     def _service(self, entry: _QueueEntry, now: int) -> None:
         txn = entry.txn
@@ -289,7 +370,9 @@ class DramController:
         self._tm_row[kind].inc()
 
         cmd_start = max(now, bank.ready_at())
-        data_ready = bank.perform_access(entry.row, cmd_start, self.timing)
+        data_ready = bank.perform_access(
+            entry.row, cmd_start, self.timing, kind=kind
+        )
         if self.config.row_policy == "closed":
             bank.auto_precharge(self.timing)
 
@@ -320,12 +403,16 @@ class DramController:
             )
             return
         txn.mark_mem_start(cmd_start)
-        upstream = self._upstream
-        if upstream is None:
+        if self._upstream is None:
             raise ProtocolError("no upstream attached to DRAM controller")
-        self.sim.schedule_at(
-            bus_end, lambda t=txn: upstream.on_mem_complete(t), priority=Phase.MEMORY
-        )
+        self._completing.append(txn)
+        self.sim.schedule_at(bus_end, self._complete, priority=Phase.MEMORY)
+
+    def _complete(self) -> None:
+        """The oldest in-service transaction left the data bus."""
+        upstream = self._upstream
+        assert upstream is not None  # checked when service started
+        upstream.on_mem_complete(self._completing.popleft())
 
     def _drain_done(self) -> None:
         self._buffered_writes -= 1
@@ -335,14 +422,14 @@ class DramController:
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
         now = self.sim.now
+        # All-bank refresh closes every row and blocks the device for
+        # t_rfc.
+        refresh_end = max(self._bus_free_at, now) + self.timing.t_rfc
         for bank in self.banks:
             bank.precharge_all(now, self.timing)
-        # All-bank refresh blocks the device for t_rfc.
-        refresh_end = max(self._bus_free_at, now) + self.timing.t_rfc
+            bank.hold_until(refresh_end)
         self._bus_free_at = refresh_end
         self._pick_free_at = max(self._pick_free_at, refresh_end)
-        for bank in self.banks:
-            bank._ready_at = max(bank.ready_at(), refresh_end)
         self.stats.counter("refreshes").add()
         self._tm_refreshes.inc()
         self.sim.schedule(

@@ -332,6 +332,7 @@ class FastForwardEngine:
             counter("issued").add(count)
             counter("issued_bytes").add(count * nbytes)
             port = stream.port
+            port._queued += count
             port._stat_submitted.add(count)
             port._tm_issued.inc(count)
         # One arbitration pass per distinct arrival cycle, each

@@ -68,3 +68,26 @@ class TestStatsAndRefresh:
         bank = Bank(0)
         bank.precharge_all(100, TIMING)
         assert bank.ready_at() == 0
+
+    def test_hold_until_only_delays(self):
+        bank = Bank(0)
+        done = bank.perform_access(1, 0, TIMING)
+        bank.hold_until(done - 1)
+        assert bank.ready_at() == done
+        bank.hold_until(done + 88)
+        assert bank.ready_at() == done + 88
+        assert bank.open_row == 1
+
+    def test_given_kind_is_not_reclassified(self):
+        # The controller classifies once and passes the class along;
+        # the outcome must equal the bank's own classification.
+        for rows in ((1,), (1, 1), (1, 2)):
+            own, given = Bank(0), Bank(1)
+            for start, row in enumerate(rows):
+                kind = given.classify(row)
+                assert given.perform_access(
+                    row, start * 100, TIMING, kind=kind
+                ) == own.perform_access(row, start * 100, TIMING)
+            assert (given.hits, given.misses, given.conflicts) == (
+                own.hits, own.misses, own.conflicts
+            )
