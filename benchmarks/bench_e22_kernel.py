@@ -1,56 +1,36 @@
 """E22 -- Simulation-kernel hot-path micro-benchmark.
 
 Not a figure of the reproduced paper: this bench times the discrete-
-event engine itself, so kernel-level optimizations (the calendar-queue
-scheduler, event-pool recycling, lazy-deletion compaction, the
-same-cycle dispatch fast path) are *measured*, and regressions in the
-substrate every experiment stands on fail loudly instead of silently
-stretching suite wall-clock.
+event engine itself -- the binary-heap event queue, event-pool
+recycling, lazy-deletion compaction and the same-cycle dispatch fast
+path -- so regressions in the substrate every experiment stands on
+fail loudly instead of silently stretching suite wall-clock.
 
-Every probe runs under BOTH scheduler backends -- the reference binary
-heap and the production calendar queue -- in the same process, so the
-reported ratios are same-run comparisons, not cross-machine folklore:
-
-* ``scheduler_stress`` -- the headline probe: a classic hold model
-  (pop one, reschedule at ``now + delay``) at a resident population of
-  128k events.  This is where scheduler data structures earn their
-  keep: the heap pays O(log n) sift work per event while the calendar
-  queue stays O(1), and the calendar backend is required to deliver at
-  least 1.5x the heap's throughput (typically measured >= 2x);
+* ``scheduler_stress`` -- a classic hold model (pop one, reschedule at
+  ``now + delay``) at a resident population of 128k events, far above
+  any platform run's population; the rate the smoke benchmark's trend
+  gate tracks;
 * ``push_pop``      -- raw churn (schedule + dispatch, no cancels);
 * ``cancel_churn``  -- 90% of scheduled events cancelled; exercises the
   compaction path and asserts cancelled shells cannot accumulate past
   the compaction bound;
 * ``same_cycle``    -- many events per cycle through ``Simulator.run``;
   exercises the single-scan same-cycle fast path;
-* ``batch_dispatch`` -- the batched dispatch loop (``REPRO_BATCH``)
-  against the per-event reference loop through ``Simulator.run`` on a
-  self-rescheduling hold model at the stress population; the reported
-  rate is the batched loop's, with the per-event rate, the
-  batched/per-event same-run ratio, and the population-aware ``auto``
-  mode's rate and parity vs the better static mode in the extras;
 * ``platform``      -- a small end-to-end platform run (cycles/second),
-  the figure that predicts benchmark-suite wall-clock.  At platform
-  populations (a handful of pending events) the C-implemented heap is
-  intrinsically cheap, so no calendar advantage is asserted here --
-  only that the two backends produce byte-identical results.
+  the figure that predicts benchmark-suite wall-clock.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import EventQueue
-from repro.sim.kernel import AUTO_BATCH, Simulator
+from repro.sim.kernel import Simulator
 from repro.soc.experiment import run_experiment
 from repro.soc.presets import zcu102
 
 from benchmarks.common import report
-
-BACKENDS = (("heap", EventQueue), ("calendar", CalendarQueue))
 
 STRESS_POPULATION = 131_072
 STRESS_EVENTS = 200_000
@@ -60,72 +40,12 @@ SAME_CYCLE_CYCLES = 2_000
 SAME_CYCLE_PER_CYCLE = 100
 PLATFORM_CPU_WORK = 2_000
 
-#: Same-run floor for the stress probe (headline acceptance):
-#: conservative against machine noise; typical measurements are >= 2x.
-STRESS_MIN_RATIO = 1.5
 
-#: Dispatches timed by the batch-dispatch hold model (on top of the
-#: initial population drain).
-BATCH_DISPATCH_EVENTS = 100_000
-
-#: Populations the smoke benchmark samples the batch-dispatch probe
-#: at: a platform-scale handful of live events and the E22 stress
-#: population.
-BATCH_POPULATIONS = (("tiny", 64), ("stress", STRESS_POPULATION))
-
-#: Same-run floor for batched vs per-event dispatch at the stress
-#: population, per backend.  The calendar backend's chunked bulk
-#: drain is the headline (typically measured >= 1.3x); the heap's
-#: margin is thinner (entry tuples still pop one heap sift at a
-#: time), so its floor only guards against the batched loop becoming
-#: a net pessimization.
-BATCH_MIN_RATIO = {"calendar": 1.05, "heap": 0.85}
-
-
-def dispatch_throughput(
-    scheduler,
-    batched,
-    population,
-    events=BATCH_DISPATCH_EVENTS,
-):
-    """Simulator-level dispatch rate on a self-rescheduling hold model.
-
-    ``population`` callbacks are scheduled across a 64-cycle spread;
-    each reschedules itself at ``now + U(1, 64)`` (deterministic LCG)
-    until ``events`` reschedules have fired, then the population
-    drains.  This exercises the full dispatch loop -- queue, batch
-    protocol, pool recycling, callback invocation -- rather than the
-    raw queue, so it is the probe that sees batching's elided
-    per-event ``pop_if_at``/``recycle`` calls and its pool-locality
-    behaviour.  Returns events per second (total dispatches over run
-    wall time).
-    """
-    sim = Simulator(scheduler=scheduler, batch=batched)
-    state = [0x3039]
-    budget = [events]
-
-    def make():
-        def callback():
-            if budget[0] > 0:
-                budget[0] -= 1
-                x = state[0] = (state[0] * 1103515245 + 12345) & 0x7FFFFFFF
-                sim.schedule(1 + (x & 63), callback)
-
-        return callback
-
-    for i in range(population):
-        sim.schedule(1 + (i & 63), make())
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    return (population + events) / elapsed
-
-
-def _bench_scheduler_stress(queue_cls):
+def _bench_scheduler_stress():
     """Hold model: steady population, pop-one / push-one-later."""
     rng = random.Random(20230711)
     delays = [rng.randrange(1, 12) for _ in range(4096)]
-    queue = queue_cls()
+    queue = EventQueue()
     for i in range(STRESS_POPULATION):
         queue.push(delays[i & 4095], 0, None)
     index = 0
@@ -140,8 +60,8 @@ def _bench_scheduler_stress(queue_cls):
     return STRESS_EVENTS / elapsed, {"population": STRESS_POPULATION}
 
 
-def _bench_push_pop(queue_cls):
-    queue = queue_cls()
+def _bench_push_pop():
+    queue = EventQueue()
     sink = []
     start = time.perf_counter()
     for i in range(PUSH_POP_EVENTS):
@@ -152,8 +72,8 @@ def _bench_push_pop(queue_cls):
     return PUSH_POP_EVENTS / elapsed, {}
 
 
-def _bench_cancel_churn(queue_cls):
-    queue = queue_cls()
+def _bench_cancel_churn():
+    queue = EventQueue()
     peak_resident = 0
     start = time.perf_counter()
     events = []
@@ -171,9 +91,8 @@ def _bench_cancel_churn(queue_cls):
     return CHURN_EVENTS / elapsed, {"peak_resident": peak_resident}
 
 
-def _bench_same_cycle(queue_cls):
-    name = next(n for n, cls in BACKENDS if cls is queue_cls)
-    sim = Simulator(scheduler=name)
+def _bench_same_cycle():
+    sim = Simulator()
     fired = [0]
 
     def tick():
@@ -190,42 +109,12 @@ def _bench_same_cycle(queue_cls):
     return total / elapsed, {}
 
 
-def _bench_batch_dispatch(queue_cls):
-    name = next(n for n, cls in BACKENDS if cls is queue_cls)
-    batched = dispatch_throughput(name, True, STRESS_POPULATION)
-    per_event = dispatch_throughput(name, False, STRESS_POPULATION)
-    auto = dispatch_throughput(name, AUTO_BATCH, STRESS_POPULATION)
-    return batched, {
-        "population": STRESS_POPULATION,
-        "per_event": per_event,
-        "batched_vs_per_event": batched / per_event,
-        "auto": auto,
-        "auto_vs_best_static": auto / max(batched, per_event),
-    }
-
-
-def _bench_platform(queue_cls):
-    name = next(n for n, cls in BACKENDS if cls is queue_cls)
+def _bench_platform():
     config = zcu102(num_accels=2, cpu_work=PLATFORM_CPU_WORK)
-    previous = os.environ.get("REPRO_SCHED")
-    os.environ["REPRO_SCHED"] = name
-    try:
-        start = time.perf_counter()
-        result = run_experiment(config)
-        elapsed = time.perf_counter() - start
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHED", None)
-        else:
-            os.environ["REPRO_SCHED"] = previous
-    table = tuple(
-        (n, p.stats.counter("bytes").value, p.stats.counter("completed").value)
-        for n, p in sorted(result.platform.ports.items())
-    )
-    return result.elapsed / elapsed, {
-        "sim_cycles": result.elapsed,
-        "_table": table,
-    }
+    start = time.perf_counter()
+    result = run_experiment(config)
+    elapsed = time.perf_counter() - start
+    return result.elapsed / elapsed, {"sim_cycles": result.elapsed}
 
 
 def run_e22():
@@ -234,23 +123,12 @@ def run_e22():
         ("push_pop", "events/s", _bench_push_pop),
         ("cancel_churn", "events/s", _bench_cancel_churn),
         ("same_cycle", "events/s", _bench_same_cycle),
-        ("batch_dispatch", "events/s", _bench_batch_dispatch),
         ("platform", "cycles/s", _bench_platform),
     )
     rows = []
     for name, unit, fn in probes:
-        row = {"probe": name, "unit": unit}
-        extras = {}
-        for backend, queue_cls in BACKENDS:
-            rate, extra = fn(queue_cls)
-            row[backend] = rate
-            extras[backend] = extra
-        row["calendar_vs_heap"] = row["calendar"] / row["heap"]
-        for key, value in extras["calendar"].items():
-            if not key.startswith("_"):
-                row[key] = value
-        row["_extras"] = extras
-        rows.append(row)
+        rate, extra = fn()
+        rows.append({"probe": name, "unit": unit, "rate": rate, **extra})
     return rows
 
 
@@ -258,54 +136,26 @@ def test_e22_kernel(benchmark):
     rows = benchmark.pedantic(run_e22, rounds=1, iterations=1)
     report(
         "e22_kernel",
-        [{k: v for k, v in r.items() if not k.startswith("_")} for r in rows],
-        "E22: simulation-kernel hot-path throughput, heap vs calendar "
-        f"scheduler ({STRESS_EVENTS // 1000}k-event probes)",
+        rows,
+        "E22: simulation-kernel hot-path throughput "
+        f"({STRESS_EVENTS // 1000}k-event probes)",
         columns=[
             "probe",
             "unit",
-            "heap",
-            "calendar",
-            "calendar_vs_heap",
+            "rate",
             "population",
-            "per_event",
-            "batched_vs_per_event",
-            "auto_vs_best_static",
             "peak_resident",
             "sim_cycles",
         ],
     )
     by_probe = {r["probe"]: r for r in rows}
-    # Every probe must actually move work, under either backend.
+    # Every probe must actually move work.
     for row in rows:
-        assert row["heap"] > 0 and row["calendar"] > 0
-    # The tentpole criterion: at scheduler-stress populations the
-    # calendar queue beats the heap by a wide, same-run margin.
-    assert by_probe["scheduler_stress"]["calendar_vs_heap"] >= STRESS_MIN_RATIO
-    # Batched dispatch may never be a net pessimization, and on the
-    # calendar backend (chunked bulk drain) it must win outright.
-    # The population-aware auto mode promotes to batched at this
-    # population, so it must track the better static mode closely.
-    for backend in ("heap", "calendar"):
-        extra = by_probe["batch_dispatch"]["_extras"][backend]
-        assert extra["batched_vs_per_event"] >= BATCH_MIN_RATIO[backend]
-        assert extra["auto_vs_best_static"] >= 0.85
+        assert row["rate"] > 0
     # Lazy-deletion compaction: with 90% of events cancelled, the queue
     # may never grow anywhere near the total number of scheduled
     # events -- shells are reclaimed once they hold the majority.
-    for backend in ("heap", "calendar"):
-        extra = by_probe["cancel_churn"]["_extras"][backend]
-        assert extra["peak_resident"] < CHURN_EVENTS / 10
+    assert by_probe["cancel_churn"]["peak_resident"] < CHURN_EVENTS / 10
     # The end-to-end platform run simulates at a usable rate (far
-    # below the raw kernel rate; this guards factor-scale regressions)
-    # and both backends produce byte-identical per-master tables.
-    platform = by_probe["platform"]
-    assert platform["heap"] > 10_000 and platform["calendar"] > 10_000
-    assert (
-        platform["_extras"]["heap"]["_table"]
-        == platform["_extras"]["calendar"]["_table"]
-    )
-    assert (
-        platform["_extras"]["heap"]["sim_cycles"]
-        == platform["_extras"]["calendar"]["sim_cycles"]
-    )
+    # below the raw kernel rate; this guards factor-scale regressions).
+    assert by_probe["platform"]["rate"] > 10_000

@@ -4,9 +4,8 @@
 Runs a reduced regulation sweep -- E2-style tightly-coupled points on
 the standard platform, E3-style window-granularity points, plus the
 open-loop steady-streaming scenarios the macro-stepper targets -- with
-``REPRO_FASTFORWARD`` off and on, under both scheduler backends, and
-fails unless every scenario's full result table is byte-identical
-across all four runs.  The engine's whole contract is "faster, not
+``REPRO_FASTFORWARD`` off and on, and fails unless every scenario's
+full result table is byte-identical across the two runs.  The engine's whole contract is "faster, not
 different": any analytic shortcut that diverges from the
 event-accurate kernel must turn the build red.
 
@@ -31,7 +30,7 @@ sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 sys.path.insert(0, os.path.join(_HERE, ".."))
 
 from repro.regulation.factory import RegulatorSpec  # noqa: E402
-from repro.sim.kernel import FASTFORWARD_ENV, SCHED_ENV  # noqa: E402
+from repro.sim.kernel import FASTFORWARD_ENV  # noqa: E402
 from repro.soc.experiment import PlatformResult  # noqa: E402
 from repro.soc.platform import MasterSpec, Platform, PlatformConfig  # noqa: E402
 from repro.soc.presets import zcu102  # noqa: E402
@@ -46,8 +45,6 @@ E2_SHARES = (0.05, 0.20)
 
 #: Reduced E3 points: one share across two window granularities.
 E3_WINDOWS = (256, 2048)
-
-SCHEDULERS = ("heap", "calendar")
 
 
 def _tc(share, window):
@@ -127,12 +124,9 @@ def scenarios():
     return rows
 
 
-def run_table(config, scheduler, fastforward, horizon, stop):
+def run_table(config, fastforward, horizon, stop):
     """One run -> ``(summary json, ff_regions)``."""
-    saved = {
-        key: os.environ.get(key) for key in (SCHED_ENV, FASTFORWARD_ENV)
-    }
-    os.environ[SCHED_ENV] = scheduler
+    saved = os.environ.get(FASTFORWARD_ENV)
     os.environ[FASTFORWARD_ENV] = "1" if fastforward else "0"
     try:
         platform = Platform(config)
@@ -140,39 +134,29 @@ def run_table(config, scheduler, fastforward, horizon, stop):
         table = PlatformResult(platform, elapsed).summary().to_json()
         regions = platform.sim.kernel_stats().get("ff_regions", 0)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(FASTFORWARD_ENV, None)
+        else:
+            os.environ[FASTFORWARD_ENV] = saved
     return table, regions
 
 
 def main() -> int:
     failures = 0
     for label, config, horizon, stop, must_engage in scenarios():
-        reference, _ = run_table(config, "heap", False, horizon, stop)
-        engaged = 0
-        identical = True
-        for scheduler in SCHEDULERS:
-            for fastforward in (False, True):
-                table, regions = run_table(
-                    config, scheduler, fastforward, horizon, stop
-                )
-                if fastforward:
-                    engaged += regions
-                if table != reference:
-                    identical = False
-                    print(
-                        f"FAIL: {label} [{scheduler}, "
-                        f"ff={'on' if fastforward else 'off'}] diverges "
-                        "from the event-accurate heap reference",
-                        file=sys.stderr,
-                    )
+        reference, _ = run_table(config, False, horizon, stop)
+        table, engaged = run_table(config, True, horizon, stop)
+        identical = table == reference
+        if not identical:
+            print(
+                f"FAIL: {label} [ff=on] diverges from the event-accurate "
+                "reference",
+                file=sys.stderr,
+            )
         status = "identical" if identical else "DIVERGED"
         print(
-            f"fastforward diff: {label}: {status} across "
-            f"{len(SCHEDULERS) * 2} runs, {engaged} regions macro-stepped"
+            f"fastforward diff: {label}: {status}, "
+            f"{engaged} regions macro-stepped"
         )
         if not identical:
             failures += 1

@@ -1,7 +1,7 @@
 """Correctness tooling: the invariant lint engine and runtime sanitizer.
 
 The reproduction's headline claim -- bit-identical QoS results across
-scheduler backends, worker counts, and telemetry on/off -- rests on
+reruns, worker counts, and telemetry on/off -- rests on
 invariants nothing in the language enforces: all randomness flows
 through seeded :mod:`repro.sim.rng` streams, kernel hot paths stay
 allocation-free, telemetry handles are bound at construction.  This
@@ -13,7 +13,7 @@ package enforces them mechanically:
   ``# repro: allow[RULE]`` suppressions and a baseline file for
   grandfathered findings.  Run it with ``repro check lint src/``.
 * :mod:`repro.checks.sanitize` -- a runtime event-queue sanitizer
-  (``REPRO_SANITIZE=1``) wrapping either scheduler backend with
+  (``REPRO_SANITIZE=1``) wrapping the kernel's event queue with
   dispatch-order, pool double-free and occupancy assertions that raise
   :class:`repro.errors.SanitizerError` with event provenance.
 

@@ -2,8 +2,8 @@
 
 ``REPRO_SANITIZE=1`` (or building a simulator from code that wraps
 its queue in :class:`SanitizingQueue`) interposes a checking layer
-between :class:`repro.sim.kernel.Simulator` and either scheduler
-backend.  The wrapper is a pure observer of the queue protocol --
+between :class:`repro.sim.kernel.Simulator` and its event queue.  The
+wrapper is a pure observer of the queue protocol --
 push/pop order, sequence numbering and therefore every simulation
 result are byte-identical with the sanitizer on or off -- but it
 raises :class:`repro.errors.SanitizerError`, with the offending
@@ -17,9 +17,9 @@ event's provenance, the moment an invariant breaks:
   this near-impossible; the sanitizer makes it loud).
 * **No post-free mutation** -- a freed event's identity fields must
   stay untouched until the pool legitimately re-arms it.
-* **Occupancy consistency** -- the backend's O(1) accounting
-  (``live_foreground``, ring counts, occupancy bits, cancelled
-  shells) must agree with a full structural scan of its contents.
+* **Occupancy consistency** -- the queue's O(1) accounting
+  (``live_foreground``, cancelled shells) must agree with a full
+  structural scan of its contents.
 
 Cost model: per-operation checks are O(1); the structural audit runs
 every :data:`AUDIT_INTERVAL` operations (and on ``clear``), so a
@@ -72,10 +72,10 @@ class SanitizingQueue:
     """Checking proxy implementing the scheduler queue protocol.
 
     Args:
-        inner: A :class:`CalendarQueue` or :class:`EventQueue` (any
-            object with the queue protocol works; the structural
-            audit recognises the two builtin backends and limits
-            itself to protocol-level checks for anything else).
+        inner: An :class:`EventQueue` (any object with the queue
+            protocol works; the structural audit recognises the heap
+            and limits itself to protocol-level checks for anything
+            else).
     """
 
     def __init__(self, inner) -> None:
@@ -174,77 +174,6 @@ class SanitizingQueue:
             self._check_unmutated(old, snap)
         self._tick()
 
-    # ------------------------------------------------------------------
-    # the batched dispatch protocol
-    # ------------------------------------------------------------------
-    def pop_cycle_batch(self, time, out, owner=None, limit=None) -> int:
-        """Batched twin of :meth:`pop_if_at` (one chunk per call).
-
-        Every delivered event runs through the same per-event checks
-        as a single pop (cancelled / freed / time-rewind / residency),
-        but the wrapper ticks once per *batch*, matching the kernel's
-        one-flush-per-cycle discipline.
-        """
-        before = len(out)
-        fg = self.inner.pop_cycle_batch(time, out, owner, limit)
-        for i in range(before, len(out)):
-            event = out[i][-1]  # entries are queue tuples, event last
-            if event.time != time:
-                self._violations += 1
-                raise SanitizerError(
-                    f"pop_cycle_batch({time}) delivered {_describe(event)}"
-                )
-            self._check_popped(event)
-        self._tick()
-        return fg
-
-    def requeue_batch(self, time, events, start) -> None:
-        """Restore an interrupted batch's tail (see the backends).
-
-        Requeued events become resident again; landing them back at
-        the just-dispatched cycle is legal (``push`` rejects only
-        times strictly below it).
-        """
-        self.inner.requeue_batch(time, events, start)
-        for i in range(start, len(events)):
-            event = events[i][-1]  # tail slots still hold entry tuples
-            if not event.cancelled:
-                self._resident[id(event)] = _describe(event)
-        self._tick()
-
-    def recycle_batch(self, events, count) -> None:
-        """Batched twin of :meth:`recycle`: one call per cycle.
-
-        Applies the same double-free / still-resident checks and the
-        same track-instead-of-delegate discipline (the snapshots pin
-        the objects, keeping ids valid and inner pooling disabled);
-        cancelled-in-batch shells are skipped exactly as the backends'
-        ``recycle_batch`` skips them.  Always clears the buffer --
-        with the sanitizer on, the inner pool must never see it.
-        """
-        for i in range(count):
-            event = events[i]
-            if event.cancelled:
-                continue
-            key = id(event)
-            if key in self._freed:
-                self._violations += 1
-                raise SanitizerError(
-                    f"double-free into the event pool: "
-                    f"{self._freed[key][1][4]} freed again as {_describe(event)}"
-                )
-            if key in self._resident:
-                self._violations += 1
-                raise SanitizerError(
-                    f"recycle of a still-queued event: {_describe(event)}"
-                )
-            self._freed[key] = (event, self._snapshot(event))
-        while len(self._freed) > _FREED_CAP:
-            _, (old, snap) = self._freed.popitem(last=False)
-            self._check_unmutated(old, snap)
-        del events[:]
-        self._tick()
-
     def clear(self) -> None:
         self.inner.clear()
         self._resident.clear()
@@ -328,19 +257,15 @@ class SanitizingQueue:
         """
         self._audits += 1
         # Imported here, not at module top: repro.sim.kernel imports
-        # this module, so a top-level backend import would be a cycle.
-        from repro.sim.calendar import CalendarQueue
+        # this module, so a top-level queue import would be a cycle.
         from repro.sim.event import EventQueue
 
         for event, snap in self._freed.values():
             self._check_unmutated(event, snap)
         inner = self.inner
-        if isinstance(inner, EventQueue):
-            actual = self._audit_heap(inner)
-        elif isinstance(inner, CalendarQueue):
-            actual = self._audit_calendar(inner)
-        else:
+        if not isinstance(inner, EventQueue):
             return
+        actual = self._audit_heap(inner)
         # Prune provenance of events that left the queue without a pop
         # (cancelled shells dropped by purge/compaction paths), so the
         # table tracks only what is actually resident.
@@ -371,64 +296,5 @@ class SanitizingQueue:
             self._fail(
                 f"heap cancelled_pending={q.cancelled_pending} but a "
                 f"full scan finds {cancelled} cancelled shells"
-            )
-        return actual
-
-    def _audit_calendar(self, q: Any) -> set:
-        from repro.sim.calendar import _BUCKETS
-
-        ring_count = 0
-        live = cancelled = 0
-        actual = set()
-        cursor = q._cursor
-        limit = cursor + _BUCKETS
-        for index, bucket in enumerate(q._ring):
-            if bucket and not (q._occupied >> index) & 1:
-                self._fail(
-                    f"calendar occupancy bit {index} clear but its "
-                    f"bucket holds {len(bucket)} entries"
-                )
-            for entry in bucket:
-                event = entry[2]
-                actual.add(id(event))
-                ring_count += 1
-                if event.cancelled:
-                    cancelled += 1
-                    continue  # shells may sit outside the window
-                if not event.daemon:
-                    live += 1
-                if not cursor <= event.time < limit:
-                    self._fail(
-                        f"calendar ring bucket {index} holds "
-                        f"{_describe(event)} outside the window "
-                        f"[{cursor}, {limit})"
-                    )
-        if ring_count != q._ring_count:
-            self._fail(
-                f"calendar ring_count={q._ring_count} but the ring "
-                f"holds {ring_count} entries"
-            )
-        for entry in q._overflow:
-            event = entry[3]
-            actual.add(id(event))
-            if event.cancelled:
-                cancelled += 1
-                continue
-            if not event.daemon:
-                live += 1
-            if event.time < limit:
-                self._fail(
-                    f"calendar overflow holds {_describe(event)} inside "
-                    f"the ring window [{cursor}, {limit})"
-                )
-        if live != q.live_foreground:
-            self._fail(
-                f"calendar live_foreground={q.live_foreground} but a "
-                f"full scan finds {live} live foreground events"
-            )
-        if cancelled != q.cancelled_pending:
-            self._fail(
-                f"calendar cancelled_pending={q.cancelled_pending} but "
-                f"a full scan finds {cancelled} cancelled shells"
             )
         return actual

@@ -194,7 +194,22 @@ class DramController:
         self._tm_refreshes = registry.counter("dram_refreshes")
         self._tm_turnarounds = registry.counter("dram_turnarounds")
         self._tm_queue_depth = registry.histogram("dram_queue_depth")
-        self._stat_bypasses = self.stats.counter("frfcfs_bypasses")
+        # StatSet handles, resolved once: the request path updates them
+        # without a by-name lookup (summaries still read them by name).
+        stats = self.stats
+        self._stat_enqueued = stats.counter("enqueued")
+        self._stat_queue_depth = stats.sampler("queue_depth")
+        self._stat_posted = stats.counter("posted_writes")
+        self._stat_row = {
+            kind: stats.counter(f"row_{kind}")
+            for kind in ("hit", "miss", "conflict")
+        }
+        self._stat_turnarounds = stats.counter("turnarounds")
+        self._stat_serviced = stats.counter("serviced")
+        self._stat_bytes = stats.counter("bytes")
+        self._stat_service_time = stats.sampler("service_time")
+        self._stat_refreshes = stats.counter("refreshes")
+        self._stat_bypasses = stats.counter("frfcfs_bypasses")
         if self.config.refresh_enabled and self.timing.t_refi > 0:
             self.sim.schedule(
                 self.timing.t_refi, self._refresh, priority=Phase.MEMORY,
@@ -231,14 +246,15 @@ class DramController:
         else:
             _insort(bucket, entry)
         self._queued_by_qos[posted][txn.qos] += 1
-        self.stats.counter("enqueued").add()
-        self.stats.sampler("queue_depth").record(len(self._queue))
-        self._tm_queue_depth.observe(len(self._queue))
+        depth = len(self._queue)
+        self._stat_enqueued.add()
+        self._stat_queue_depth.record(depth)
+        self._tm_queue_depth.observe(depth)
         if posted:
             # The write buffer acknowledges immediately; the drain to
             # the device stays queued.
             self._buffered_writes += 1
-            self.stats.counter("posted_writes").add()
+            self._stat_posted.add()
             txn.mark_mem_start(self.sim.now)
             upstream = self._upstream
             if upstream is None:
@@ -366,7 +382,7 @@ class DramController:
         txn = entry.txn
         bank = self.banks[entry.bank]
         kind = bank.classify(entry.row)
-        self.stats.counter(f"row_{kind}").add()
+        self._stat_row[kind].add()
         self._tm_row[kind].inc()
 
         cmd_start = max(now, bank.ready_at())
@@ -379,7 +395,7 @@ class DramController:
         bus_start = max(data_ready, self._bus_free_at)
         if self._last_was_write is not None and self._last_was_write != txn.is_write:
             bus_start += self.timing.rw_turnaround
-            self.stats.counter("turnarounds").add()
+            self._stat_turnarounds.add()
             self._tm_turnarounds.inc()
         data_cycles = self.timing.data_cycles(txn.burst_len)
         bus_end = bus_start + data_cycles
@@ -388,11 +404,11 @@ class DramController:
         self._pick_free_at = bus_start
         self._last_was_write = txn.is_write
         self._busy_cycles += data_cycles
-        self.stats.counter("serviced").add()
-        self.stats.counter("bytes").add(txn.nbytes)
+        self._stat_serviced.add()
+        self._stat_bytes.add(txn.nbytes)
         self._tm_serviced.inc()
         self._tm_bytes.inc(txn.nbytes)
-        self.stats.sampler("service_time").record(bus_end - entry.arrival)
+        self._stat_service_time.record(bus_end - entry.arrival)
 
         if entry.posted:
             # Drain of an already-acknowledged write: free the buffer
@@ -430,7 +446,7 @@ class DramController:
             bank.hold_until(refresh_end)
         self._bus_free_at = refresh_end
         self._pick_free_at = max(self._pick_free_at, refresh_end)
-        self.stats.counter("refreshes").add()
+        self._stat_refreshes.add()
         self._tm_refreshes.inc()
         self.sim.schedule(
             self.timing.t_refi, self._refresh, priority=Phase.MEMORY, daemon=True

@@ -7,27 +7,23 @@ multiples of the reference period.
 
 Public entry points:
 
-* :class:`repro.sim.kernel.Simulator` -- the event loop.
+* :class:`repro.sim.kernel.Simulator` -- the event loop over one
+  binary-heap :class:`repro.sim.event.EventQueue`.
 * :class:`repro.sim.stats.StatSet` -- named counters and samplers.
 * :class:`repro.sim.trace.TraceRecorder` -- optional transaction traces.
 * :func:`repro.sim.rng.component_rng` -- stable per-component RNGs.
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import Event, EventQueue
-from repro.sim.kernel import SCHED_ENV, SCHEDULERS, Simulator, resolve_scheduler
+from repro.sim.kernel import Simulator
 from repro.sim.rng import component_rng
 from repro.sim.stats import Counter, Sampler, StatSet, TimeSeries
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
-    "CalendarQueue",
     "Event",
     "EventQueue",
-    "SCHED_ENV",
-    "SCHEDULERS",
     "Simulator",
-    "resolve_scheduler",
     "component_rng",
     "Counter",
     "Sampler",

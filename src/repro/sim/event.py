@@ -5,14 +5,11 @@ number is a monotonically increasing tie-breaker, which makes event
 dispatch fully deterministic: two events scheduled for the same cycle
 at the same priority always fire in scheduling order.
 
-This module holds the :class:`Event` object, the shared free-list
-pooling machinery, and the *reference* scheduler backend
-(:class:`EventQueue`, a single binary heap).  The production backend
-is the calendar queue in :mod:`repro.sim.calendar`; both implement the
-same queue protocol and are required to produce bit-identical dispatch
-traces (see ``tests/sim/test_scheduler_differential.py``).
+This module holds the :class:`Event` object, the free-list pooling
+machinery, and the simulator's event queue (:class:`EventQueue`, a
+single binary heap).
 
-Three implementation choices keep the queues fast on the simulator's
+Three implementation choices keep the queue fast on the simulator's
 hot path (entered once per dispatched event):
 
 * Heap entries are ``(time, priority, seq, event)`` tuples, so
@@ -136,37 +133,8 @@ def _measure_recycle_refs() -> int:
 _RECYCLE_REFS = _measure_recycle_refs()
 
 
-def _measure_batch_recycle_refs() -> int:
-    """Reference count seen by :meth:`EventPoolMixin.recycle_batch` for
-    a batch entry that nothing else references.
-
-    The batch path holds different references than the per-event path
-    (the batch list's slot plus the loop local, instead of the dispatch
-    site's local), so it gets its own measured baseline.  The probe
-    replicates the exact reference shape of the real loop: an event
-    reachable only through the batch list, read into a loop local.
-    """
-    seen: List[int] = []
-
-    class _Probe:
-        def recycle_batch(self, events: List[Event], count: int) -> None:
-            for i in range(count):
-                event = events[i]
-                seen.append(getrefcount(event))
-
-    def _dispatch_site(queue: "_Probe") -> None:
-        events = [Event(0, 0, 0, None)]
-        queue.recycle_batch(events, 1)
-
-    _dispatch_site(_Probe())
-    return seen[0]
-
-
-_BATCH_RECYCLE_REFS = _measure_batch_recycle_refs()
-
-
 class EventPoolMixin:
-    """Free-list :class:`Event` recycling shared by queue backends.
+    """Free-list :class:`Event` recycling for the event queue.
 
     ``_acquire`` replaces ``Event(...)`` on the push path; ``recycle``
     is called by the simulator after an event's callback has run.  An
@@ -226,53 +194,12 @@ class EventPoolMixin:
         if len(pool) < _POOL_CAP:
             pool.append(event)
 
-    # repro: hot -- once per dispatched cycle, one loop pass per event
-    def recycle_batch(self, events: List[Event], count: int) -> None:
-        """Return the dispatched prefix ``events[:count]`` to the free
-        list and clear the whole batch buffer.
-
-        The batched twin of :meth:`recycle`: one call per dispatched
-        cycle instead of one per event.  Entries that were cancelled
-        mid-batch were never dispatched and are left to the garbage
-        collector (matching the per-event path, which drops cancelled
-        shells at pop time without recycling them).  Entries past
-        ``count`` were requeued by the caller and must only be
-        released from the buffer, not pooled.
-
-        Unlike :meth:`recycle`, no pool cap applies: a whole cycle's
-        events arrive at once, and a dense cycle (tens of thousands of
-        events under stress workloads) must flow back to the pool or
-        the next cycle's pushes degrade to fresh allocations.  Memory
-        stays bounded anyway -- every pooled event was resident in the
-        queue moments earlier, so the pool's high-water mark (the
-        largest cycle seen) never exceeds the queue's own.
-        """
-        pool = self._pool
-        append = pool.append
-        for i in range(count):
-            event = events[i]
-            if event.cancelled:
-                continue
-            if getrefcount(event) != _BATCH_RECYCLE_REFS:
-                self._recycle_leaks += 1
-                continue
-            event.callback = None  # release the closure promptly
-            event._queue = None
-            append(event)
-        del events[:]
-
     def _on_cancel(self, event: Event) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
 class EventQueue(EventPoolMixin):
-    """The reference scheduler backend: one deterministic binary heap.
-
-    Kept as the oracle implementation (``REPRO_SCHED=heap``) that the
-    calendar queue is differentially tested against; also the better
-    fit for pathological workloads whose events are spread uniformly
-    over a very long horizon.
-    """
+    """The simulator's event queue: one deterministic binary heap."""
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, int, Event]] = []
@@ -400,90 +327,6 @@ class EventQueue(EventPoolMixin):
         if not heap:
             return None
         return heap[0][0]
-
-    # repro: hot -- batch drain, once per dispatched cycle
-    def pop_cycle_batch(
-        self,
-        time: int,
-        out: List[Any],
-        owner: object = None,
-        limit: Optional[int] = None,
-    ) -> int:
-        """Drain the live events firing at ``time`` into ``out``.
-
-        The batched dispatch protocol (see :meth:`Simulator.run`):
-        one queue call delivers a whole cycle in dispatch order
-        ``(priority, seq)``, already detached from queue accounting.
-        ``owner`` (typically the kernel's batch cancel sink) is
-        installed as each event's ``_queue`` so mid-batch ``cancel()``
-        calls stay observable to the dispatch loop.
-
-        ``limit`` caps how many entries one call delivers, so a dense
-        cycle drains in cache-sized chunks; the undelivered remainder
-        stays heap-resident, where later same-cycle pushes sort among
-        it naturally -- chunking cannot change dispatch order.
-
-        ``out`` receives the queue's own *entry tuples* (event last,
-        priority third-from-last -- a shape both backends share), not
-        bare events.  Deliberate: the dispatch loop replaces each slot
-        with its event as it dispatches, so entry tuples die one per
-        callback, interleaved with the callback's own pushes.  Freeing
-        the whole cycle's tuples up front would zero-clamp the GC's
-        nursery counter and the push burst that follows would trigger
-        dozens of young-generation collections per cycle (measured at
-        a ~2x throughput loss at stress populations).
-
-        Returns:
-            The number of *foreground* events appended (the caller's
-            drain bookkeeping needs it; ``len(out)`` gives the total).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        append = out.append
-        fg = 0
-        delivered = 0
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if entry[0] != time:
-                break
-            if delivered == limit:
-                break
-            heappop(heap)
-            event = entry[3]
-            if not event.daemon:
-                fg += 1
-            event._queue = owner
-            append(entry)
-            delivered += 1
-        self._live_foreground -= fg
-        return fg
-
-    def requeue_batch(self, time: int, entries: List[Any], start: int) -> None:
-        """Restore the undispatched tail ``entries[start:]`` to the heap.
-
-        Cold path: only reached when a batch is interrupted (a stop
-        request, a same-cycle push that sorts before the remaining
-        entries, or a mid-cycle drain).  The tail still holds the
-        original entry tuples, which are re-pushed as-is, so a later
-        pop dispatches them exactly where per-event dispatch would
-        have.  Cancelled-in-batch shells are dropped (their accounting
-        already left the queue when the batch was popped).
-        """
-        heap = self._heap
-        for i in range(start, len(entries)):
-            entry = entries[i]
-            event = entry[3]
-            if event.cancelled:
-                event._queue = None
-                continue
-            event._queue = self
-            heapq.heappush(heap, entry)
-            if not event.daemon:
-                self._live_foreground += 1
 
     def clear(self) -> None:
         for entry in self._heap:

@@ -58,8 +58,8 @@ Equivalence argument (the detector enforces every premise):
 
 Result tables are therefore byte-identical to the event-accurate
 kernel (enforced by ``tests/sim/test_fastforward.py`` and the CI
-differential gate); only kernel telemetry -- events dispatched, idle
-cycles -- legitimately differs, and the engine reports its own
+differential gate); only kernel telemetry -- events dispatched --
+legitimately differs, and the engine reports its own
 activity through :meth:`Simulator.kernel_stats` (``ff_regions``,
 ``ff_cycles_skipped``, ``ff_arrivals``).
 
@@ -151,14 +151,12 @@ class FastForwardEngine:
     # detection + macro-step
     # ------------------------------------------------------------------
     # repro: hot -- consulted once per dispatch-loop iteration
-    def attempt(self, next_time: int, until: Optional[int]) -> Optional[int]:
-        """Try to macro-step from ``next_time``; None = declined.
+    def attempt(self, next_time: int, until: Optional[int]) -> bool:
+        """Try to macro-step from ``next_time``; False = declined.
 
-        Called by the dispatch loops between cycles, with ``next_time``
-        the queue's peeked next event time.  On success the clock has
-        been advanced and the return value is the idle-cycle count the
-        batched loop would have accounted over the region (skipped
-        span minus dispatched cycles).
+        Called by the dispatch loop between cycles, with ``next_time``
+        the queue's peeked next event time.  On success (True) the
+        clock has been advanced to the region's last arrival.
 
         This wrapper keeps the per-iteration cost bounded on runs the
         engine cannot help: configs with no regulated stream port
@@ -169,16 +167,17 @@ class FastForwardEngine:
         probes is deterministic, so results stay reproducible.
         """
         if not self._capable:
-            return None
+            return False
         if next_time <= self.sim._now:
-            # Mid-cycle re-peek (chunked batch drain): never enter,
-            # and never count against the decline streak.
-            return None
+            # The current cycle may already be partly dispatched (a
+            # run resumed after request_stop, or after step()): never
+            # enter, and never count against the decline streak.
+            return False
         if self._skip:
             self._skip -= 1
-            return None
+            return False
         result = self._attempt(next_time, until)
-        if result is None:
+        if not result:
             self._streak += 1
             if self._streak >= DECLINE_STREAK:
                 self._streak = 0
@@ -190,8 +189,8 @@ class FastForwardEngine:
             self._backoff = DECLINE_BACKOFF
         return result
 
-    def _attempt(self, next_time: int, until: Optional[int]) -> Optional[int]:
-        """The full detector + macro-step; None = declined.
+    def _attempt(self, next_time: int, until: Optional[int]) -> bool:
+        """The full detector + macro-step; False = declined.
 
         All checks with side effects run only after every pure
         structural check has passed, and the side effects (regulator
@@ -202,9 +201,9 @@ class FastForwardEngine:
         sim = self.sim
         ic = self.interconnect
         if ic._arb_scheduled_at is not None or ic.config.split_addr_channels:
-            return None
+            return False
         if ic._next_free[None] > next_time:
-            return None
+            return False
 
         # The tracked streams' pending arrivals; the region starts at
         # the earliest of them, which must be the very next event.
@@ -219,7 +218,7 @@ class FastForwardEngine:
             if t_first is None or event.time < t_first:
                 t_first = event.time
         if t_first != next_time:
-            return None
+            return False
 
         # Full port-population audit: nothing in flight anywhere, and
         # every non-empty port is regulator-blocked with a live retry.
@@ -227,32 +226,32 @@ class FastForwardEngine:
         blocked: List["MasterPort"] = []
         for port in ic.ports:
             if port._outstanding:
-                return None
+                return False
             expected += port._retry_events_live
             if not port.queue_depth:
                 continue
             if port.config.split_channels:
-                return None
+                return False
             if (
                 port.regulator is None
                 or port._throttle_since is None
                 or port._retry_scheduled_at is None
                 or port._retry_scheduled_at <= next_time
             ):
-                return None
+                return False
             blocked.append(port)
         # An arrival into an *empty* port could be accepted at the
         # pass; only already-blocked ports may receive walked arrivals.
         for _time, index in pend:
             if not streams[index].port.queue_depth:
-                return None
+                return False
         # Exact population match: pending arrivals + retry kicks must
         # be the *entire* foreground; anything else declines.
         queue = sim._queue
         if queue.live_foreground != expected:
-            return None
+            return False
         if not self.dram.ff_quiescent(next_time):
-            return None
+            return False
 
         # Regulator checks (these may advance lazy regulator clocks to
         # next_time; the pass at next_time performs the same advances,
@@ -262,19 +261,19 @@ class FastForwardEngine:
             regulator = port.regulator
             horizon = regulator.ff_horizon(next_time)
             if horizon is None or horizon <= next_time:
-                return None
+                return False
             if reg_bound is None or horizon < reg_bound:
                 reg_bound = horizon
             head = port._queues[False][0]
             if regulator.may_issue(head, next_time):
-                return None
+                return False
             opportunity = regulator.next_opportunity(head, next_time)
             if opportunity < next_time + 1:
                 opportunity = next_time + 1
             if port._retry_scheduled_at > opportunity:
                 # The pass would re-arm a second, earlier retry; the
                 # region's event population would grow mid-flight.
-                return None
+                return False
 
         # Commit point: cancel the pending arrivals so the queue peek
         # exposes the earliest *other* event (retry kicks, daemons --
@@ -300,7 +299,7 @@ class FastForwardEngine:
                 stream._pending_arrival = sim.schedule_at(
                     time, stream._arrive, priority=Phase.MASTER
                 )
-            return None
+            return False
 
         # ---- the walk -------------------------------------------------
         now_before = sim._now
@@ -327,10 +326,8 @@ class FastForwardEngine:
             stream = streams[index]
             stream._arrived += count
             nbytes = stream.config.burst_len * stream.config.bytes_per_beat
-            # Same first-creation order Master.issue uses.
-            counter = stream.stats.counter
-            counter("issued").add(count)
-            counter("issued_bytes").add(count * nbytes)
+            stream._stat_issued.add(count)
+            stream._stat_issued_bytes.add(count * nbytes)
             port = stream.port
             port._queued += count
             port._stat_submitted.add(count)
@@ -351,9 +348,7 @@ class FastForwardEngine:
         self.regions += 1
         self.cycles_skipped += t_last - now_before
         self.arrivals_emitted += total
-        # What the batched loop's idle accounting would have summed:
-        # the advanced span minus the cycles that dispatched something.
-        return (t_last - now_before) - arrival_cycles
+        return True
 
     # ------------------------------------------------------------------
     # walks

@@ -12,64 +12,26 @@ within one cycle, regulators replenish before masters retry, masters
 present requests before the interconnect arbitrates, and statistics
 snapshots run last.
 
-Two scheduler backends implement the event queue (selected with the
-``REPRO_SCHED`` environment variable or the ``scheduler=`` argument):
-
-* ``calendar`` -- :class:`repro.sim.calendar.CalendarQueue`, per-cycle
-  buckets over a sliding near-future window with a heap overflow tier;
-  the fast backend at large live-event populations.
-* ``heap`` -- :class:`repro.sim.event.EventQueue`, a single binary
-  heap; the reference implementation, and the faster backend for the
-  small populations of tiny platform configs.
-* ``auto`` (default) -- population-aware runtime selection: the run
-  starts on the heap and is promoted in place to the calendar queue
-  the first time its live-event occupancy crosses
-  :data:`AUTO_PROMOTE_THRESHOLD`.  The decision reads the occupancy
-  counter both backends already maintain, once per dispatched cycle,
-  so it costs zero per-event instructions; the migration preserves
-  times, priorities and sequence numbers, so dispatch order is
-  bit-identical to either static backend.
-
-All of them produce bit-identical dispatch traces, so results never
-depend on the knob; it exists for performance work and differential
-testing.
-
-Dispatch itself is **batched** (``REPRO_BATCH``; the default is
-population-aware, see below): each
-iteration of :meth:`Simulator.run` drains an entire cycle's events
-into a preallocated buffer with one ``pop_cycle_batch`` queue call,
-invokes the callbacks from a tight local loop, and returns the shells
-with one ``recycle_batch`` call -- one queue/observer round-trip per
-cycle instead of four per event.  Same-cycle pushes *into* the live
-batch are detected with a priority guard in :meth:`schedule`; the rare
-push that would sort before the batch's remaining entries requeues the
-tail and falls back to per-event dispatch for that cycle, which keeps
-batched dispatch bit-identical to the per-event reference loop (kept
-as ``REPRO_BATCH=off``, and differentially tested).  Between cycles
-the clock jumps straight to the next scheduled event -- idle cycles
-are skipped analytically, never scanned -- and the skipped-cycle count
-is reported through :meth:`kernel_stats`.
-
-Like the scheduler, the dispatch mode defaults to ``auto``: batching
-amortizes queue round-trips at large event populations but measures
-as a 13-21% *loss* on tiny (tens-of-events) populations, so an
-``auto`` run starts on the per-event loop and hands over to the
-batched loop the first time live-foreground occupancy crosses
-:data:`AUTO_PROMOTE_THRESHOLD` -- the same population signal, read
-the same zero-cost way, as scheduler promotion.  Both modes are
-bit-identical by contract, so the switch can never change a result.
+The event queue is one binary heap (:class:`repro.sim.event.EventQueue`)
+and :meth:`Simulator.run` is the one dispatch loop: peek the next
+cycle, pop its first event, then drain the rest of that cycle with
+single-scan ``pop_if_at`` calls.  Between cycles the clock jumps
+straight to the next scheduled event; empty cycles are never visited.
+An attached :class:`repro.telemetry.profiler.PhaseProfiler` is fed
+from the same loop: each callback is bracketed with two clock reads
+only when a profiler is present, so a detached run pays one test of a
+local for ``None`` per event.
 
 One optional layer sits above dispatch: the steady-state
 **fast-forward engine** (``REPRO_FASTFORWARD``, off by default; see
-:mod:`repro.sim.fastforward`).  When attached, the dispatch loops
-offer it every peeked cycle; if the entire pending population is a
-set of regulator-blocked open-loop streams it advances the clock to
-the next analytic boundary (token refill, window-bin edge, daemon
-tick, retry kick, ``until``) in one macro-step, emitting the skipped
-arrivals analytically.  Results are byte-identical to event-accurate
-dispatch; only kernel telemetry (events dispatched, idle cycles)
-differs, and the engine's own counters are surfaced through
-:meth:`kernel_stats`.
+:mod:`repro.sim.fastforward`).  When attached, the loop offers it
+every peeked cycle; if the entire pending population is a set of
+regulator-blocked open-loop streams it advances the clock to the next
+analytic boundary (token refill, window-bin edge, daemon tick, retry
+kick, ``until``) in one macro-step, emitting the skipped arrivals
+analytically.  Results are byte-identical to event-accurate dispatch;
+only the events-dispatched count differs, and the engine's own
+counters are surfaced through :meth:`Simulator.kernel_stats`.
 """
 
 from __future__ import annotations
@@ -78,107 +40,12 @@ import os
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.checks.sanitize import SanitizingQueue, sanitize_enabled
-from repro.errors import ConfigError, SimulationError
-from repro.sim.calendar import CalendarQueue
+from repro.errors import SimulationError
 from repro.sim.event import Event, EventQueue
-
-#: Environment variable selecting the scheduler backend.
-SCHED_ENV = "REPRO_SCHED"
-
-#: Environment variable selecting the dispatch mode
-#: (batch | event | auto).
-BATCH_ENV = "REPRO_BATCH"
 
 #: Environment variable enabling the steady-state fast-forward engine
 #: (see :mod:`repro.sim.fastforward`; off unless set to an on-value).
 FASTFORWARD_ENV = "REPRO_FASTFORWARD"
-
-#: Backend registry: name -> queue factory (concrete backends only;
-#: ``auto`` is a kernel-level mode over these, not a third queue).
-SCHEDULERS = {
-    "calendar": CalendarQueue,
-    "heap": EventQueue,
-}
-
-#: The adaptive mode name accepted alongside the concrete backends.
-AUTO_SCHED = "auto"
-
-#: The adaptive dispatch-mode name accepted by ``REPRO_BATCH`` /
-#: ``batch=`` (population-aware batching; also the default).
-AUTO_BATCH = "auto"
-
-#: Live-foreground occupancy at which an ``auto`` run is promoted from
-#: the heap to the calendar queue.  Measured on the hold-model probe
-#: (``scripts/bench_smoke.py``): tiny platform configs hold tens of
-#: live events (where end-to-end sweeps measure the heap ~1.15x
-#: faster), stress workloads hold tens of thousands (where the
-#: calendar queue measures >= 2x); 2048 sits far above the former and
-#: far below the latter, so the decision is insensitive to noise in
-#: the crossover region.
-AUTO_PROMOTE_THRESHOLD = 2048
-
-_DEFAULT_SCHED = AUTO_SCHED
-
-#: Sentinel for the same-cycle push guard while no batch is live: no
-#: priority compares below it, so the guard can stay branch-only.
-_GUARD_OFF = -(1 << 62)
-
-#: Max entries one ``pop_cycle_batch`` call delivers.  Dense cycles
-#: drain in chunks so the in-flight event-pool working set stays
-#: cache-resident: with a whole 10k+-event cycle drained at once,
-#: every pool reuse walks a ~1 MB ring and is a cold miss (measured
-#: as a net batching loss at stress populations), while chunks of a
-#: few hundred events keep the reuse distance inside L2 and retain
-#: nearly all of the batching amortization.  Chunking cannot change
-#: dispatch order: the undelivered remainder stays queued, where
-#: later same-cycle pushes sort among it naturally.
-BATCH_CHUNK = 512
-
-
-def resolve_scheduler(name: Optional[str] = None) -> str:
-    """Resolve a scheduler name (argument > ``REPRO_SCHED`` > default).
-
-    Returns one of the concrete backend names in :data:`SCHEDULERS`
-    or :data:`AUTO_SCHED`.
-
-    Raises:
-        ConfigError: for any other name.
-    """
-    if name is None:
-        # This *is* the REPRO_SCHED knob's resolution point; backends
-        # are bit-identical by contract.  # repro: allow[DET003]
-        name = os.environ.get(SCHED_ENV, "").strip().lower() or _DEFAULT_SCHED
-    else:
-        name = name.strip().lower()
-    if name != AUTO_SCHED and name not in SCHEDULERS:
-        raise ConfigError(
-            f"unknown scheduler {name!r} (expected one of "
-            f"{sorted(SCHEDULERS) + [AUTO_SCHED]}; set via {SCHED_ENV} "
-            "or scheduler=)"
-        )
-    return name
-
-
-def resolve_batch(batch: Optional[object] = None) -> object:
-    """Resolve the dispatch mode (argument > ``REPRO_BATCH`` > auto).
-
-    Returns ``True`` (always batched), ``False`` (always per-event)
-    or :data:`AUTO_BATCH` (start per-event, promote to batched when
-    live-foreground occupancy crosses
-    :data:`AUTO_PROMOTE_THRESHOLD`).  Batched and per-event dispatch
-    are bit-identical by contract (the differential suite enforces
-    it), so the promotion can never change a result; the explicit
-    modes exist for performance comparison and as the oracle mode for
-    those tests.
-    """
-    if batch is not None:
-        if batch == AUTO_BATCH:
-            return AUTO_BATCH
-        return bool(batch)
-    value = os.environ.get(BATCH_ENV, "").strip().lower()  # repro: allow[DET003]
-    if not value or value == AUTO_BATCH:
-        return AUTO_BATCH
-    return value not in ("0", "off", "no", "false", "event", "per-event")
 
 
 def resolve_fastforward(enabled: Optional[bool] = None) -> bool:
@@ -186,8 +53,8 @@ def resolve_fastforward(enabled: Optional[bool] = None) -> bool:
 
     Off by default: the engine only pays off on regulation-bound
     steady streaming, and keeping the event-accurate path the default
-    keeps every existing workflow's telemetry (event counts, idle
-    cycles) unchanged.  Results are byte-identical either way.
+    keeps every existing workflow's telemetry (event counts) unchanged.
+    Results are byte-identical either way.
     """
     if enabled is not None:
         return bool(enabled)
@@ -210,38 +77,8 @@ class Phase:
     STATS = 90  #: end-of-cycle bookkeeping
 
 
-class _BatchCancelSink:
-    """Owner installed on batch-popped events while they await dispatch.
-
-    ``Event.cancel`` routes through ``_queue._on_cancel``; pointing a
-    batched (already dequeued) event here keeps mid-batch cancels of
-    its not-yet-dispatched siblings visible to the dispatch loop's
-    drain bookkeeping, without touching real queue accounting (the
-    events already left the queue when the batch was popped).
-    """
-
-    __slots__ = ("fg_cancels",)
-
-    def __init__(self) -> None:
-        self.fg_cancels = 0
-
-    def _on_cancel(self, event: Event) -> None:
-        if not event.daemon:
-            self.fg_cancels += 1
-
-
 class Simulator:
     """Deterministic event-driven simulator with an integer cycle clock.
-
-    Args:
-        scheduler: Event-queue backend name (``"calendar"``, ``"heap"``
-            or ``"auto"``); ``None`` defers to ``REPRO_SCHED`` and the
-            default.  Dispatch order is identical across backends.
-        batch: Dispatch mode (``True``, ``False`` or ``"auto"``);
-            ``None`` defers to ``REPRO_BATCH`` and the ``auto``
-            default (per-event until the live-event population earns
-            batching), ``False`` forces the per-event reference loop.
-            Dispatch order is identical across modes.
 
     Example:
         >>> sim = Simulator()
@@ -252,36 +89,13 @@ class Simulator:
         [5]
     """
 
-    def __init__(
-        self, scheduler: Optional[str] = None, batch: Optional[object] = None
-    ) -> None:
-        self.scheduler = resolve_scheduler(scheduler)
-        if self.scheduler == AUTO_SCHED:
-            #: Concrete backend currently in charge (auto starts on the
-            #: heap and may be promoted to the calendar queue mid-run).
-            self.backend = "heap"
-            self._auto_pending = True
-        else:
-            self.backend = self.scheduler
-            self._auto_pending = False
-        self._queue: Any = SCHEDULERS[self.backend]()
+    def __init__(self) -> None:
+        self._queue: Any = EventQueue()
         if sanitize_enabled():
             # Debugging build: every queue operation runs through the
             # invariant assertions of repro.checks.sanitize.  Dispatch
             # order (and therefore every result) is unchanged.
             self._queue = SanitizingQueue(self._queue)
-        mode = resolve_batch(batch)
-        #: Resolved dispatch policy: ``"batch"``, ``"event"`` or
-        #: ``"auto"`` (kernel_stats' ``dispatch_mode`` keeps naming
-        #: the loop currently in charge).
-        self.batch_mode = (
-            AUTO_BATCH if mode == AUTO_BATCH else ("batch" if mode else "event")
-        )
-        self._batch_auto_pending = mode == AUTO_BATCH
-        self._batch_promote = False
-        #: Times an ``auto`` run switched per-event -> batched (0 or 1).
-        self.batch_promotions = 0
-        self.batched = mode is True
         #: Attached :class:`repro.sim.fastforward.FastForwardEngine`
         #: (None = pure event-accurate dispatch).
         self._ff: Optional[Any] = None
@@ -297,23 +111,9 @@ class Simulator:
         #: Accumulated from a loop-local counter at run exit, so the
         #: per-event dispatch cost is one local integer add.
         self.events_dispatched = 0
-        #: Idle cycles jumped over by the batched dispatch loop (gaps
-        #: between consecutive dispatched cycles; accumulated per run).
-        self.idle_cycles_skipped = 0
-        #: Times an ``auto`` run promoted its backend (0 or 1).
-        self.auto_promotions = 0
         #: Attached :class:`repro.telemetry.profiler.PhaseProfiler`
-        #: (None = the unprofiled fast dispatch loop runs).
+        #: (None = callbacks run without clock reads).
         self._profiler: Optional[Any] = None
-        # Batched-dispatch state: the reusable cycle buffer (queue
-        # entry tuples, each overwritten with its event at dispatch),
-        # the cancel sink installed on in-flight batch events, and the
-        # same-cycle push guard (armed while a batch is live; see
-        # schedule()).
-        self._batch: List[Any] = []
-        self._batch_sink = _BatchCancelSink()
-        self._batch_next_priority = _GUARD_OFF
-        self._batch_dirty = False
 
     # ------------------------------------------------------------------
     # time
@@ -350,15 +150,6 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        # Same-cycle push guard: while a batch for the current cycle is
-        # mid-dispatch, a push that sorts before *some* undispatched
-        # batch entry flags the batch dirty so the dispatch loop can
-        # requeue its tail and fall back to per-event order.  Entries
-        # are ascending and new seqs sort after equal priorities, so
-        # "before some remaining entry" is exactly "strictly below the
-        # batch's last entry's priority" -- one constant per batch.
-        if delay == 0 and priority < self._batch_next_priority:
-            self._batch_dirty = True
         return self._queue.push(self._now + delay, priority, callback, daemon=daemon)
 
     def schedule_at(
@@ -373,8 +164,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at cycle {time}, current time is {self._now}"
             )
-        if time == self._now and priority < self._batch_next_priority:
-            self._batch_dirty = True
         return self._queue.push(time, priority, callback, daemon=daemon)
 
     def add_finalizer(self, fn: Callable[[int], None]) -> None:
@@ -384,7 +173,7 @@ class Simulator:
     def attach_fastforward(self, engine: Any) -> None:
         """Attach a steady-state fast-forward engine.
 
-        The dispatch loops offer the engine every peeked cycle (one
+        The dispatch loop offers the engine every peeked cycle (one
         ``attempt`` call; its pure pre-checks fail fast, so irregular
         workloads pay a few attribute reads).  See
         :mod:`repro.sim.fastforward` for the exactness argument.
@@ -394,7 +183,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    # repro: hot -- batched dispatch loop: one queue round-trip per cycle
+    # repro: hot -- the dispatch loop, once per event
     def run(self, until: Optional[int] = None) -> int:
         """Dispatch events until the queue drains or ``until`` is reached.
 
@@ -408,183 +197,6 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() re-entered from within an event callback")
-        if self._profiler is not None:
-            if self._batch_auto_pending:
-                # Profiled runs resolve "auto" to batched upfront: the
-                # profiler already perturbs per-event cost, and modes
-                # are bit-identical by contract.
-                self._batch_auto_pending = False
-                self.batched = True
-            return self._run_profiled(until)
-        if not self.batched:
-            result = self._run_per_event(until)
-            if self._batch_promote:
-                # The per-event loop crossed the population threshold
-                # mid-run ("auto" mode); finish on the batched loop.
-                self._batch_promote = False
-                return self.run(until)
-            return result
-        self._running = True
-        self._stop_requested = False
-        queue = self._queue
-        # Pre-bound references keep the per-cycle loop free of repeated
-        # attribute lookups; the per-event work inside a batch is plain
-        # list indexing and local arithmetic.
-        peek_time = queue.peek_time
-        pop_cycle_batch = queue.pop_cycle_batch
-        requeue_batch = queue.requeue_batch
-        recycle_batch = queue.recycle_batch
-        pop_if_at = queue.pop_if_at
-        recycle = queue.recycle
-        batch = self._batch
-        sink = self._batch_sink
-        ff = self._ff
-        dispatched = 0
-        idle_skipped = 0
-        try:
-            while True:
-                if self._stop_requested:
-                    break
-                if (
-                    self._auto_pending
-                    and queue.live_foreground >= AUTO_PROMOTE_THRESHOLD
-                ):
-                    self._promote()
-                    queue = self._queue
-                    peek_time = queue.peek_time
-                    pop_cycle_batch = queue.pop_cycle_batch
-                    requeue_batch = queue.requeue_batch
-                    recycle_batch = queue.recycle_batch
-                    pop_if_at = queue.pop_if_at
-                    recycle = queue.recycle
-                next_time = peek_time()
-                if next_time is None or queue.live_foreground == 0:
-                    # Drained: nothing left, or only daemon events
-                    # (background refresh/ticks) remain.
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if ff is not None:
-                    # Steady-state macro-step: when the whole pending
-                    # population is analytically advanceable, the
-                    # engine moves the clock to the next boundary and
-                    # returns the idle cycles the jump covered.
-                    skipped = ff.attempt(next_time, until)
-                    if skipped is not None:
-                        idle_skipped += skipped
-                        continue
-                if next_time - self._now > 1:
-                    # Analytic idle skip: the clock jumps the gap; no
-                    # empty cycle is ever visited.
-                    idle_skipped += next_time - self._now - 1
-                self._now = next_time
-                # Chunked drain (BATCH_CHUNK): a dense cycle spans
-                # several batches; the outer loop re-peeks the same
-                # time and drains the rest, keeping the in-flight pool
-                # working set cache-resident.
-                fg_remaining = pop_cycle_batch(next_time, batch, sink, BATCH_CHUNK)
-                n = len(batch)
-                sink.fg_cancels = 0
-                self._batch_dirty = False
-                dirty = False
-                i = 0
-                if n:
-                    # Arm the push guard with the batch's *maximum*
-                    # remaining priority (entries are ascending, so the
-                    # last entry's -- one constant for the whole batch).
-                    # A same-cycle push interleaves before some
-                    # undispatched entry iff its priority is strictly
-                    # below this, wherever dispatch currently stands.
-                    # (Pushes sorting after the in-flight chunk but
-                    # among the still-queued remainder need no guard:
-                    # queue order handles them.)
-                    self._batch_next_priority = batch[n - 1][-3]
-                # The batch holds the queues' own entry tuples (event
-                # last, priority third-from-last); each slot is
-                # overwritten with its bare event as it is consumed, so
-                # one tuple dies per callback -- interleaved with the
-                # callback's own push allocations.  Releasing the whole
-                # cycle's tuples in one burst instead zero-clamps the
-                # GC nursery counter and the push burst that follows
-                # triggers dozens of collections per cycle (measured:
-                # ~2x throughput loss at stress populations).
-                while i < n:
-                    entry = batch[i]
-                    event = entry[-1]
-                    i += 1
-                    if event.cancelled:
-                        # Cancelled mid-batch by an earlier callback;
-                        # consume the sink's note and skip (the
-                        # per-event loop would have purged it unpopped).
-                        batch[i - 1] = event
-                        event._queue = None
-                        if not event.daemon:
-                            fg_remaining -= 1
-                            sink.fg_cancels -= 1
-                        continue
-                    if event.daemon:
-                        if queue.live_foreground + fg_remaining - sink.fg_cancels == 0:
-                            # No live foreground work remains ahead of
-                            # this daemon: the per-event loop stops
-                            # here, leaving it queued.
-                            i -= 1
-                            break
-                    else:
-                        fg_remaining -= 1
-                    if i == n:
-                        # Last entry: same-cycle pushes land behind the
-                        # batch and are re-batched by the outer loop in
-                        # the same order per-event dispatch would use.
-                        self._batch_next_priority = _GUARD_OFF
-                    batch[i - 1] = event
-                    # Detach before invoking: per-event pops detach at
-                    # pop time, so a cancel() from within the event's
-                    # own callback must be an accounting no-op here too.
-                    event._queue = None
-                    event.callback()
-                    dispatched += 1
-                    if self._stop_requested:
-                        break
-                    if self._batch_dirty:
-                        dirty = True
-                        break
-                self._batch_next_priority = _GUARD_OFF
-                if i < n:
-                    requeue_batch(next_time, batch, i)
-                event = None
-                entry = None
-                recycle_batch(batch, i)
-                if dirty:
-                    # A same-cycle push sorted before the (requeued)
-                    # batch tail; finish this cycle on the per-event
-                    # reference path, which interleaves exactly.
-                    while not self._stop_requested and queue.live_foreground > 0:
-                        event = pop_if_at(self._now)
-                        if event is None:
-                            break
-                        event.callback()
-                        recycle(event)
-                        dispatched += 1
-        finally:
-            self._running = False
-            self.events_dispatched += dispatched
-            self.idle_cycles_skipped += idle_skipped
-        for fn in self._finalizers:
-            fn(self._now)
-        self._finished = True
-        return self._now
-
-    # repro: hot -- per-event reference loop (REPRO_BATCH=off oracle)
-    def _run_per_event(self, until: Optional[int] = None) -> int:
-        """The per-event reference dispatch loop.
-
-        Kept as the oracle that batched dispatch is differentially
-        tested against (``REPRO_BATCH=off``); one full Python loop
-        iteration (peek, pop, invoke, recycle) per event.
-        """
         self._running = True
         self._stop_requested = False
         queue = self._queue
@@ -596,32 +208,16 @@ class Simulator:
         pop_if_at = queue.pop_if_at
         recycle = queue.recycle
         ff = self._ff
+        profiler = self._profiler
+        if profiler is not None:
+            clock = profiler.clock
+            observe = profiler.observe
+            wall_start = clock()
         dispatched = 0
         try:
             while True:
                 if self._stop_requested:
                     break
-                if self._batch_auto_pending and (
-                    queue.live_foreground >= AUTO_PROMOTE_THRESHOLD
-                ):
-                    # "auto" dispatch mode: the population just earned
-                    # batching; hand the rest of the run to the
-                    # batched loop (run() re-enters it).
-                    self._batch_auto_pending = False
-                    self.batched = True
-                    self.batch_promotions += 1
-                    self._batch_promote = True
-                    break
-                if (
-                    self._auto_pending
-                    and queue.live_foreground >= AUTO_PROMOTE_THRESHOLD
-                ):
-                    self._promote()
-                    queue = self._queue
-                    peek_time = queue.peek_time
-                    pop = queue.pop
-                    pop_if_at = queue.pop_if_at
-                    recycle = queue.recycle
                 next_time = peek_time()
                 if next_time is None or queue.live_foreground == 0:
                     # Drained: nothing left, or only daemon events
@@ -632,289 +228,65 @@ class Simulator:
                 if until is not None and next_time > until:
                     self._now = until
                     break
-                if ff is not None and ff.attempt(next_time, until) is not None:
-                    # Macro-stepped; the per-event reference loop does
-                    # not account idle cycles, so the count is dropped.
+                if ff is not None and ff.attempt(next_time, until):
+                    # Macro-stepped: the engine advanced the clock over
+                    # a steady region; peek again.
                     continue
                 event = pop()
-                self._now = event.time
-                event.callback()
-                recycle(event)
-                dispatched += 1
-                # Same-cycle fast path: drain the rest of this cycle
+                self._now = next_time
+                # Dispatch this cycle: the first event, then the rest
                 # with single-scan pops, skipping the redundant
                 # peek/horizon checks (the horizon can only be crossed
                 # when time advances).
-                while not self._stop_requested and queue.live_foreground > 0:
-                    event = pop_if_at(self._now)
-                    if event is None:
-                        break
-                    event.callback()
-                    recycle(event)
-                    dispatched += 1
-        finally:
-            self._running = False
-            self.events_dispatched += dispatched
-        if self._batch_promote:
-            # Mid-run handoff to the batched loop: finalizers and the
-            # finished flag belong to the real end of the run.
-            return self._now
-        for fn in self._finalizers:
-            fn(self._now)
-        self._finished = True
-        return self._now
-
-    # repro: hot -- instrumented twin of run(), same discipline
-    def _run_profiled(self, until: Optional[int] = None) -> int:
-        """Instrumented twin of :meth:`run` (profiler attached).
-
-        Brackets every callback with two clock reads and feeds the
-        attached profiler; kept as a separate loop so detached runs
-        pay nothing for the capability.  Follows the same batched
-        protocol (batch pops, cancel sink, dirty fallback), so a
-        profiled run dispatches bit-identically to an unprofiled one.
-        """
-        if not self.batched:
-            return self._run_per_event_profiled(until)
-        profiler = self._profiler
-        clock = profiler.clock
-        observe = profiler.observe
-        self._running = True
-        self._stop_requested = False
-        queue = self._queue
-        peek_time = queue.peek_time
-        pop_cycle_batch = queue.pop_cycle_batch
-        requeue_batch = queue.requeue_batch
-        recycle_batch = queue.recycle_batch
-        pop_if_at = queue.pop_if_at
-        recycle = queue.recycle
-        batch = self._batch
-        sink = self._batch_sink
-        ff = self._ff
-        dispatched = 0
-        idle_skipped = 0
-        wall_start = clock()
-        try:
-            while True:
-                if self._stop_requested:
-                    break
-                if (
-                    self._auto_pending
-                    and queue.live_foreground >= AUTO_PROMOTE_THRESHOLD
-                ):
-                    self._promote()
-                    queue = self._queue
-                    peek_time = queue.peek_time
-                    pop_cycle_batch = queue.pop_cycle_batch
-                    requeue_batch = queue.requeue_batch
-                    recycle_batch = queue.recycle_batch
-                    pop_if_at = queue.pop_if_at
-                    recycle = queue.recycle
-                next_time = peek_time()
-                if next_time is None or queue.live_foreground == 0:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if ff is not None:
-                    skipped = ff.attempt(next_time, until)
-                    if skipped is not None:
-                        idle_skipped += skipped
-                        continue
-                if next_time - self._now > 1:
-                    idle_skipped += next_time - self._now - 1
-                self._now = next_time
-                fg_remaining = pop_cycle_batch(next_time, batch, sink, BATCH_CHUNK)
-                n = len(batch)
-                sink.fg_cancels = 0
-                self._batch_dirty = False
-                dirty = False
-                i = 0
-                if n:
-                    self._batch_next_priority = batch[n - 1][-3]
-                # Entry-tuple discipline as in run(): consume one tuple
-                # per callback to keep GC nursery pressure interleaved.
-                while i < n:
-                    entry = batch[i]
-                    event = entry[-1]
-                    i += 1
-                    if event.cancelled:
-                        batch[i - 1] = event
-                        event._queue = None
-                        if not event.daemon:
-                            fg_remaining -= 1
-                            sink.fg_cancels -= 1
-                        continue
-                    if event.daemon:
-                        if queue.live_foreground + fg_remaining - sink.fg_cancels == 0:
-                            i -= 1
-                            break
+                while True:
+                    if profiler is None:
+                        event.callback()
                     else:
-                        fg_remaining -= 1
-                    if i == n:
-                        self._batch_next_priority = _GUARD_OFF
-                    batch[i - 1] = event
-                    event._queue = None
-                    callback = event.callback
-                    start = clock()
-                    callback()
-                    observe(callback, clock() - start)
-                    dispatched += 1
-                    if self._stop_requested:
-                        break
-                    if self._batch_dirty:
-                        dirty = True
-                        break
-                self._batch_next_priority = _GUARD_OFF
-                if i < n:
-                    requeue_batch(next_time, batch, i)
-                event = None
-                entry = None
-                recycle_batch(batch, i)
-                if dirty:
-                    while not self._stop_requested and queue.live_foreground > 0:
-                        event = pop_if_at(self._now)
-                        if event is None:
-                            break
                         callback = event.callback
                         start = clock()
                         callback()
                         observe(callback, clock() - start)
-                        recycle(event)
-                        dispatched += 1
-        finally:
-            self._running = False
-            self.events_dispatched += dispatched
-            self.idle_cycles_skipped += idle_skipped
-            profiler.wall_seconds += clock() - wall_start
-        for fn in self._finalizers:
-            fn(self._now)
-        self._finished = True
-        return self._now
-
-    # repro: hot -- instrumented twin of _run_per_event()
-    def _run_per_event_profiled(self, until: Optional[int] = None) -> int:
-        """Instrumented twin of :meth:`_run_per_event`."""
-        profiler = self._profiler
-        clock = profiler.clock
-        observe = profiler.observe
-        self._running = True
-        self._stop_requested = False
-        queue = self._queue
-        peek_time = queue.peek_time
-        pop = queue.pop
-        pop_if_at = queue.pop_if_at
-        recycle = queue.recycle
-        ff = self._ff
-        dispatched = 0
-        wall_start = clock()
-        try:
-            while True:
-                if self._stop_requested:
-                    break
-                if (
-                    self._auto_pending
-                    and queue.live_foreground >= AUTO_PROMOTE_THRESHOLD
-                ):
-                    self._promote()
-                    queue = self._queue
-                    peek_time = queue.peek_time
-                    pop = queue.pop
-                    pop_if_at = queue.pop_if_at
-                    recycle = queue.recycle
-                next_time = peek_time()
-                if next_time is None or queue.live_foreground == 0:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if ff is not None and ff.attempt(next_time, until) is not None:
-                    continue
-                event = pop()
-                self._now = event.time
-                callback = event.callback
-                start = clock()
-                callback()
-                observe(callback, clock() - start)
-                recycle(event)
-                dispatched += 1
-                while not self._stop_requested and queue.live_foreground > 0:
-                    event = pop_if_at(self._now)
-                    if event is None:
-                        break
-                    callback = event.callback
-                    start = clock()
-                    callback()
-                    observe(callback, clock() - start)
                     recycle(event)
                     dispatched += 1
+                    if self._stop_requested or queue.live_foreground == 0:
+                        break
+                    event = pop_if_at(next_time)
+                    if event is None:
+                        break
         finally:
             self._running = False
             self.events_dispatched += dispatched
-            profiler.wall_seconds += clock() - wall_start
+            if profiler is not None:
+                profiler.wall_seconds += clock() - wall_start
         for fn in self._finalizers:
             fn(self._now)
         self._finished = True
         return self._now
-
-    # ------------------------------------------------------------------
-    # adaptive backend selection
-    # ------------------------------------------------------------------
-    def _promote(self) -> None:
-        """Swap the live heap backend for a calendar queue (auto mode).
-
-        Called by the dispatch loops between cycles, the first time
-        live-event occupancy crosses :data:`AUTO_PROMOTE_THRESHOLD`.
-        The migration (:meth:`CalendarQueue.from_heap`) preserves every
-        pending event's time, priority and sequence number plus the
-        sequence counter and event pool, so dispatch order -- and
-        therefore every simulation result -- is unchanged.
-        """
-        self._auto_pending = False
-        self.auto_promotions += 1
-        target = self._queue
-        if isinstance(target, SanitizingQueue):
-            target.inner = CalendarQueue.from_heap(target.inner)
-        else:
-            self._queue = CalendarQueue.from_heap(target)
-        self.backend = "calendar"
 
     def kernel_stats(self) -> Dict[str, Any]:
         """Snapshot of kernel and queue telemetry (pull-style).
 
-        Combines the simulator's dispatch count with the scheduler
-        backend's cold-path counters (see ``EventQueue.stats`` /
-        ``CalendarQueue.stats``); collecting it costs nothing until
-        called, so it is always available -- ``REPRO_TELEMETRY``
-        gates only the push-style registry, not this.
+        Combines the simulator's dispatch count with the event queue's
+        cold-path counters (see ``EventQueue.stats``); collecting it
+        costs nothing until called, so it is always available --
+        ``REPRO_TELEMETRY`` gates only the push-style registry, not
+        this.
 
-        ``idle_cycles_skipped`` counts the empty cycles the batched
-        dispatch loop jumped over analytically (per-event runs report
-        0: they advance the clock identically but do not account the
-        gaps).  Under ``scheduler="auto"``, ``scheduler`` stays
-        ``"auto"`` while ``backend`` (and the queue's own ``backend``
-        field) names the concrete queue currently in charge;
-        ``auto_promotions`` records whether the promotion happened.
-        ``batch_policy`` / ``batch_promotions`` are the dispatch-mode
-        analogues (``dispatch_mode`` names the loop currently in
-        charge).  With a fast-forward engine attached, ``ff_regions``,
+        ``dispatch_mode`` is always ``"event"`` and the
+        ``auto_promotions`` / ``batch_promotions`` counters are always
+        0: the kernel has one queue and one dispatch loop, and the keys
+        stay because the ``perfbench`` harness reports them.  With a
+        fast-forward engine attached, ``ff_regions``,
         ``ff_cycles_skipped`` and ``ff_arrivals`` report its activity
         (macro-stepped regions, cycles covered, arrivals emitted
         analytically).
         """
         stats: Dict[str, Any] = {
-            "scheduler": self.scheduler,
-            "dispatch_mode": "batch" if self.batched else "event",
-            "batch_policy": self.batch_mode,
+            "dispatch_mode": "event",
             "now": self._now,
             "events_dispatched": self.events_dispatched,
-            "idle_cycles_skipped": self.idle_cycles_skipped,
-            "auto_promotions": self.auto_promotions,
-            "batch_promotions": self.batch_promotions,
+            "auto_promotions": 0,
+            "batch_promotions": 0,
         }
         ff = self._ff
         if ff is not None:
@@ -940,13 +312,9 @@ class Simulator:
         Consistent with :meth:`run`: when only daemon events
         (background refresh/ticks) remain, the simulation counts as
         drained and ``step()`` returns ``None`` instead of ticking
-        daemons forever.  Stepping is always per-event (a batch of one
-        would only add overhead), which is bit-identical by contract.
+        daemons forever.
         """
         queue = self._queue
-        if self._auto_pending and queue.live_foreground >= AUTO_PROMOTE_THRESHOLD:
-            self._promote()
-            queue = self._queue
         if queue.live_foreground == 0 or queue.peek_time() is None:
             return None
         event = queue.pop()
@@ -960,7 +328,5 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (cancelled shells count until
-        the queue compacts or pops them).  While a batch is mid-flight
-        inside :meth:`run`, the current cycle's events are in the
-        dispatch buffer, not the queue, and are not counted."""
+        the queue compacts or pops them)."""
         return len(self._queue)

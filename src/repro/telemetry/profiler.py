@@ -7,13 +7,13 @@ derived from the event callback: ``ClassName.method`` for bound
 methods (``DramController._service``, ``MasterPort._retry`` ...),
 the qualified name for plain functions.
 
-The kernel keeps its normal dispatch loop untouched; when a profiler
-is attached, :meth:`Simulator.run` branches *once per run* into an
-instrumented twin loop that brackets every callback with two
-``perf_counter`` reads.  Detached runs therefore pay nothing, and
-profiled runs pay a constant per event -- small against real handler
-work, which is what keeps measured overhead within the subsystem's
-budget on experiment workloads.
+The kernel has one dispatch loop with a single profiler hook: when a
+profiler is attached, :meth:`Simulator.run` brackets every callback
+with two ``perf_counter`` reads and reports it through
+:meth:`PhaseProfiler.observe`.  Detached runs pay one test of a local
+for ``None`` per event, and profiled runs pay a constant per event --
+small against real handler work, which is what keeps measured
+overhead within the subsystem's budget on experiment workloads.
 
 Typical use::
 
@@ -65,13 +65,13 @@ class PhaseProfiler:
         self.clock = clock
         #: key -> [dispatch count, total seconds]
         self.records: Dict[str, List[float]] = {}
-        #: Wall-clock seconds spent inside profiled run() loops.
+        #: Wall-clock seconds spent inside profiled run() calls.
         self.wall_seconds = 0.0
         #: Total events dispatched under this profiler.
         self.events = 0
 
     # ------------------------------------------------------------------
-    # collection (called from the kernel's instrumented loop)
+    # collection (called from the kernel's dispatch loop)
     # ------------------------------------------------------------------
     def observe(self, callback: Callable[[], object], elapsed: float) -> None:
         """Fold one dispatched callback into the profile."""
@@ -87,13 +87,13 @@ class PhaseProfiler:
     # attachment
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Route ``sim``'s future run() calls through the profiled loop."""
+        """Profile ``sim``'s future run() calls."""
         if sim._profiler is not None and sim._profiler is not self:
             raise ConfigError("simulator already has a profiler attached")
         sim._profiler = self
 
     def detach(self, sim: "Simulator") -> None:
-        """Restore the unprofiled dispatch loop."""
+        """Stop profiling ``sim``."""
         if sim._profiler is self:
             sim._profiler = None
 

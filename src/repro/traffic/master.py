@@ -25,6 +25,8 @@ class Master:
         self.port = port
         self.name = port.name
         self.stats = StatSet(f"{port.name}.master")
+        self._stat_issued = self.stats.counter("issued")
+        self._stat_issued_bytes = self.stats.counter("issued_bytes")
         self.finished_at: Optional[int] = None
         #: Optional callback ``fn(cycle)`` invoked once when the
         #: configured work completes.
@@ -81,8 +83,8 @@ class Master:
             qos=qos,
             created=self.sim.now,
         )
-        self.stats.counter("issued").add()
-        self.stats.counter("issued_bytes").add(txn.nbytes)
+        self._stat_issued.add()
+        self._stat_issued_bytes.add(txn.nbytes)
         self.port.submit(txn)
         return txn
 

@@ -125,20 +125,20 @@ class TestEdges:
 
 
 class TestDynamicDispatch:
-    SCHEDULERS = """\
+    QUEUES = """\
         class Base:
             def pop(self):
                 raise NotImplementedError
 
-        class Heap(Base):
+        class Fifo(Base):
             def pop(self):
                 pass
 
-        class Calendar(Base):
+        class Lifo(Base):
             def pop(self):
                 pass
 
-        BACKENDS = {"heap": Heap, "calendar": Calendar}
+        BACKENDS = {"fifo": Fifo, "lifo": Lifo}
 
         def run(sched: Base):
             sched.pop()
@@ -149,17 +149,17 @@ class TestDynamicDispatch:
         """
 
     def test_base_typed_receiver_fans_to_overrides(self, tmp_path):
-        index = index_fixture(tmp_path, self.SCHEDULERS)
+        index = index_fixture(tmp_path, self.QUEUES)
         assert index.callees("graphmod.run") == {
             "graphmod.Base.pop",
-            "graphmod.Heap.pop",
-            "graphmod.Calendar.pop",
+            "graphmod.Fifo.pop",
+            "graphmod.Lifo.pop",
         }
 
     def test_registry_lookup_dispatches_to_members(self, tmp_path):
         index = index_fixture(
             tmp_path,
-            textwrap.dedent(self.SCHEDULERS) + textwrap.dedent(
+            textwrap.dedent(self.QUEUES) + textwrap.dedent(
                 """\
 
                 def dispatch(name):
@@ -170,8 +170,8 @@ class TestDynamicDispatch:
             ),
         )
         callees = index.callees("graphmod.dispatch")
-        assert "graphmod.Heap.pop" in callees
-        assert "graphmod.Calendar.pop" in callees
+        assert "graphmod.Fifo.pop" in callees
+        assert "graphmod.Lifo.pop" in callees
 
 
 class TestReachability:

@@ -1,19 +1,16 @@
 """Sanitized runs must be byte-identical to plain runs.
 
-The sanitizer is a pure observer: same experiment, same seed, same
-scheduler must serialize to exactly the same summary with
-``REPRO_SANITIZE`` on or off -- on both queue backends.
+The sanitizer is a pure observer: same experiment, same seed must
+serialize to exactly the same summary with ``REPRO_SANITIZE`` on or
+off.
 """
-
-import pytest
 
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.experiment import run_experiment
 from repro.soc.presets import zcu102
 
 
-def summary_json(monkeypatch, scheduler, sanitize):
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
+def summary_json(monkeypatch, sanitize):
     if sanitize:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
     else:
@@ -25,8 +22,7 @@ def summary_json(monkeypatch, scheduler, sanitize):
     return run_experiment(config).summary().to_json()
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_sanitized_run_byte_identical(monkeypatch, scheduler):
-    plain = summary_json(monkeypatch, scheduler, sanitize=False)
-    sanitized = summary_json(monkeypatch, scheduler, sanitize=True)
+def test_sanitized_run_byte_identical(monkeypatch):
+    plain = summary_json(monkeypatch, sanitize=False)
+    sanitized = summary_json(monkeypatch, sanitize=True)
     assert sanitized == plain

@@ -4,7 +4,6 @@ import pytest
 
 from repro.checks.sanitize import SanitizingQueue, sanitize_enabled
 from repro.errors import SanitizerError
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import Event, EventQueue
 from repro.sim.kernel import Simulator
 
@@ -13,12 +12,9 @@ def noop():
     pass
 
 
-BACKENDS = [EventQueue, CalendarQueue]
-
-
-@pytest.fixture(params=BACKENDS, ids=["heap", "calendar"])
-def queue(request):
-    return SanitizingQueue(request.param())
+@pytest.fixture
+def queue():
+    return SanitizingQueue(EventQueue())
 
 
 class TestCleanRuns:
@@ -112,20 +108,6 @@ class TestInjectedViolations:
         with pytest.raises(SanitizerError, match="live_foreground"):
             queue.audit()
 
-    def test_calendar_occupancy_corruption_detected(self):
-        queue = SanitizingQueue(CalendarQueue())
-        queue.push(5, 0, noop)
-        queue.inner._ring_count += 1
-        with pytest.raises(SanitizerError, match="ring_count"):
-            queue.audit()
-
-    def test_calendar_occupancy_bit_corruption_detected(self):
-        queue = SanitizingQueue(CalendarQueue())
-        event = queue.push(5, 0, noop)
-        index = event.time & (len(queue.inner._ring) - 1)
-        queue.inner._occupied &= ~(1 << index)
-        with pytest.raises(SanitizerError, match="occupancy bit"):
-            queue.audit()
 
 
 class _BrokenQueue:

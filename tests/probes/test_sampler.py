@@ -118,8 +118,7 @@ class TestSampling:
         assert elapsed < 5_000_000
 
 
-def _summary_json(seed, scheduler, attach, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
+def _summary_json(seed, attach):
     spec = RunSpec(
         config=zcu102(num_accels=2, cpu_work=300, seed=seed),
         max_cycles=200_000,
@@ -139,24 +138,17 @@ def _summary_json(seed, scheduler, attach, monkeypatch):
     return execute_spec(spec).to_json()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 class TestBitIdentity:
-    def test_publisher_sampler_leaves_results_byte_identical(
-        self, scheduler, monkeypatch
-    ):
+    def test_publisher_sampler_leaves_results_byte_identical(self, monkeypatch):
         """execute_spec with the probe plane active (publisher set -->
         sampler attached, frames streamed) returns the same serialized
-        summary as a bare run, on each scheduler backend."""
+        summary as a bare run."""
         monkeypatch.setenv("REPRO_PROBE_PERIOD", "512")
-        bare = _summary_json(3, scheduler, attach=False, monkeypatch=monkeypatch)
-        probed = _summary_json(3, scheduler, attach=True, monkeypatch=monkeypatch)
+        bare = _summary_json(3, attach=False)
+        probed = _summary_json(3, attach=True)
         assert bare == probed
 
-    def test_direct_sampler_leaves_platform_results_identical(
-        self, scheduler, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SCHED", scheduler)
-
+    def test_direct_sampler_leaves_platform_results_identical(self):
         def run(attach):
             platform = Platform(zcu102(num_accels=1, cpu_work=200, seed=7))
             if attach:

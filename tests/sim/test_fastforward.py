@@ -1,13 +1,11 @@
 """Differential tests for the steady-state fast-forward engine.
 
-The engine's contract is the same as the scheduler/dispatch knobs':
-byte-identical result tables whether or not it runs.  These tests
-drive regulation-bound open-loop scenarios (the engine's target
-shape) and irregular scenarios (where it must decline) across both
-scheduler backends and both dispatch modes, and compare full run
-summaries exactly -- no tolerances.  A separate engagement test
-guards against the detector declining everything, which would make
-the identity assertions vacuous.
+The engine's contract is byte-identical result tables whether or not
+it runs.  These tests drive regulation-bound open-loop scenarios (the
+engine's target shape) and irregular scenarios (where it must
+decline) and compare full run summaries exactly -- no tolerances.  A
+separate engagement test guards against the detector declining
+everything, which would make the identity assertions vacuous.
 """
 
 from dataclasses import replace
@@ -46,11 +44,8 @@ def steady_config(num_streams=1, regulator=None, seed=3):
     return PlatformConfig(masters=masters, seed=seed)
 
 
-def run_table(config, monkeypatch, scheduler, batch, fastforward,
-              horizon=HORIZON):
+def run_table(config, monkeypatch, fastforward, horizon=HORIZON):
     """One full run -> (summary json, kernel stats)."""
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
-    monkeypatch.setenv("REPRO_BATCH", batch)
     monkeypatch.setenv("REPRO_FASTFORWARD", "1" if fastforward else "0")
     platform = Platform(config)
     elapsed = platform.run(horizon, stop_when_critical_done=False)
@@ -95,10 +90,10 @@ class TestEngagement:
         """The detector must actually fire on the target shape -- and
         replace the bulk of the event traffic with walked arrivals."""
         _table, stats = run_table(
-            steady_config(), monkeypatch, "heap", "1", fastforward=True
+            steady_config(), monkeypatch, fastforward=True
         )
         _ref, ref_stats = run_table(
-            steady_config(), monkeypatch, "heap", "1", fastforward=False
+            steady_config(), monkeypatch, fastforward=False
         )
         assert stats["ff_regions"] > 10
         assert stats["ff_arrivals"] > 1000
@@ -126,33 +121,22 @@ class TestEngagement:
             )
         )
         _table, stats = run_table(
-            config, monkeypatch, "heap", "1", fastforward=True, horizon=5_000
+            config, monkeypatch, fastforward=True, horizon=5_000
         )
         assert stats["ff_regions"] == 0
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    @pytest.mark.parametrize("batch", ["1", "0"])
-    def test_steady_single_stream(self, monkeypatch, scheduler, batch):
-        off, _ = run_table(
-            steady_config(), monkeypatch, scheduler, batch, fastforward=False
-        )
-        on, stats = run_table(
-            steady_config(), monkeypatch, scheduler, batch, fastforward=True
-        )
+    def test_steady_single_stream(self, monkeypatch):
+        off, _ = run_table(steady_config(), monkeypatch, fastforward=False)
+        on, stats = run_table(steady_config(), monkeypatch, fastforward=True)
         assert stats["ff_regions"] > 0  # identity must not be vacuous
         assert on == off
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_steady_multi_stream(self, monkeypatch, scheduler):
+    def test_steady_multi_stream(self, monkeypatch):
         config = steady_config(num_streams=3)
-        off, _ = run_table(
-            config, monkeypatch, scheduler, "1", fastforward=False
-        )
-        on, stats = run_table(
-            config, monkeypatch, scheduler, "1", fastforward=True
-        )
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, stats = run_table(config, monkeypatch, fastforward=True)
         assert stats["ff_regions"] > 0
         assert on == off
 
@@ -161,10 +145,10 @@ class TestByteIdentity:
             regulator=memguard_spec(0.01, period_cycles=2048)
         )
         off, _ = run_table(
-            config, monkeypatch, "heap", "1", fastforward=False
+            config, monkeypatch, fastforward=False
         )
         on, stats = run_table(
-            config, monkeypatch, "heap", "1", fastforward=True
+            config, monkeypatch, fastforward=True
         )
         assert stats["ff_regions"] > 0
         assert on == off
@@ -191,8 +175,8 @@ class TestByteIdentity:
             ),
             seed=5,
         )
-        off, _ = run_table(config, monkeypatch, "heap", "1", fastforward=False)
-        on, _ = run_table(config, monkeypatch, "heap", "1", fastforward=True)
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, _ = run_table(config, monkeypatch, fastforward=True)
         assert on == off
 
     def test_bounded_stream_work(self, monkeypatch):
@@ -201,8 +185,8 @@ class TestByteIdentity:
         config = steady_config()
         # work is bytes for accel workloads: 600 requests.
         config = config.with_masters([replace(config.masters[0], work=600 * 64)])
-        off, _ = run_table(config, monkeypatch, "heap", "1", fastforward=False)
-        on, _ = run_table(config, monkeypatch, "heap", "1", fastforward=True)
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, _ = run_table(config, monkeypatch, fastforward=True)
         assert on == off
 
 
@@ -210,11 +194,11 @@ class TestKernelStatsSurface:
     def test_ff_counters_only_when_attached(self):
         stats = Simulator().kernel_stats()
         assert "ff_regions" not in stats
-        assert stats["batch_policy"] == "auto"
+        assert stats["dispatch_mode"] == "event"
 
     def test_ff_counters_reported(self, monkeypatch):
         _table, stats = run_table(
-            steady_config(), monkeypatch, "heap", "1", fastforward=True,
+            steady_config(), monkeypatch, fastforward=True,
             horizon=5_000,
         )
         assert set(

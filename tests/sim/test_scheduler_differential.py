@@ -1,31 +1,55 @@
-"""Differential tests: the calendar queue against the reference heap.
+"""Differential test: the heap event queue against a brute-force model.
 
-The two scheduler backends are contractually bit-identical: for any
-sequence of queue operations they must dispatch the same events in the
-same order, and any experiment must produce byte-identical result
-tables whichever backend runs it.  These tests drive both backends
-with the same randomized programs and full (scaled-down) experiments
-and compare outputs exactly -- no tolerances.
+For any sequence of queue operations the heap must dispatch the same
+events in the same ``(time, priority, seq)`` order as a plain list
+scanned for its minimum, and report the same live-foreground count.
+The randomized programs below drive both with the same operations and
+compare the traces exactly.
 """
 
 import random
 
 import pytest
 
-from repro.sim.calendar import _BUCKETS, CalendarQueue
-from repro.sim.event import EventQueue
-from repro.sim.kernel import Simulator
+from repro.sim.event import Event, EventQueue
 
-from benchmarks.common import loaded_config, tc_spec
-from repro.soc.experiment import run_experiment
+
+class _ReferenceQueue:
+    """The queue protocol subset the programs use, by linear scan."""
+
+    def __init__(self):
+        self._events = []
+        self._seq = 0
+
+    def push(self, time, priority, callback, daemon=False):
+        event = Event(time, priority, self._seq, callback, daemon=daemon)
+        self._seq += 1
+        self._events.append(event)
+        return event
+
+    def _live(self):
+        return [e for e in self._events if not e.cancelled]
+
+    def peek_time(self):
+        live = self._live()
+        return min(live).time if live else None
+
+    def pop(self):
+        event = min(self._live())
+        self._events.remove(event)
+        return event
+
+    @property
+    def live_foreground(self):
+        return sum(1 for e in self._live() if not e.daemon)
 
 
 def _random_program(seed, steps):
-    """A backend-agnostic op script exercising the full queue surface.
+    """An op script exercising the queue surface.
 
-    Times mix same-cycle bursts, near-future delays, far-overflow jumps
-    and (via pop-then-push-low patterns) rewinds; ops mix pushes,
-    daemon pushes, cancels of arbitrary live handles, pops and peeks.
+    Times mix same-cycle bursts, near-future delays and far jumps;
+    ops mix pushes, daemon pushes, cancels of arbitrary handles
+    (including already-dispatched ones), pops and peeks.
     """
     rng = random.Random(seed)
     program = []
@@ -34,7 +58,7 @@ def _random_program(seed, steps):
         if r < 0.55:
             kind = "push_daemon" if rng.random() < 0.15 else "push"
             delay = rng.choice(
-                (0, 0, 1, 2, 3, rng.randrange(64), rng.randrange(3 * _BUCKETS))
+                (0, 0, 1, 2, 3, rng.randrange(64), rng.randrange(768))
             )
             program.append((kind, delay, rng.randrange(8)))
         elif r < 0.70:
@@ -67,95 +91,15 @@ def _execute(queue, program):
                 base = ev.time
         elif kind == "peek":
             trace.append(("peek", queue.peek_time()))
+        trace.append(("live", queue.live_foreground))
     # Drain what's left so tail-end ordering is compared too.
     while queue.peek_time() is not None:
         ev = queue.pop()
         trace.append((ev.time, ev.priority, ev.seq, ev.daemon))
-    trace.append(("live", queue.live_foreground))
     return trace
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_programs_dispatch_identically(seed):
     program = _random_program(seed, steps=400)
-    heap_trace = _execute(EventQueue(), program)
-    calendar_trace = _execute(CalendarQueue(), program)
-    assert calendar_trace == heap_trace
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_below_cursor_pushes_dispatch_identically(seed):
-    """Rewind-heavy program: pops advance the cursor, then pushes land
-    below it (legal for direct queue users)."""
-    rng = random.Random(1000 + seed)
-    heap, cal = EventQueue(), CalendarQueue()
-    traces = [[], []]
-    for queue, trace in ((heap, traces[0]), (cal, traces[1])):
-        rng_q = random.Random(2000 + seed)  # same stream per backend
-        queue.push(5 * _BUCKETS, 0, lambda: None)
-        assert queue.peek_time() == 5 * _BUCKETS
-        for _ in range(200):
-            t = rng_q.randrange(6 * _BUCKETS)
-            queue.push(t, rng_q.randrange(4), lambda: None)
-            if rng_q.random() < 0.5 and queue.live_foreground:
-                ev = queue.pop()
-                trace.append((ev.time, ev.priority, ev.seq))
-        while queue.live_foreground:
-            ev = queue.pop()
-            trace.append((ev.time, ev.priority, ev.seq))
-    assert traces[0] == traces[1]
-
-
-def test_simulator_runs_identically_across_backends():
-    """A kernel-level workload (cascading callbacks, cancels, daemons,
-    bounded runs) observed through fired-event journals."""
-
-    def drive(scheduler):
-        sim = Simulator(scheduler=scheduler)
-        journal = []
-        rng = random.Random(77)
-        retained = []
-
-        def work(tag):
-            journal.append((sim.now, tag))
-            if rng.random() < 0.6:
-                sim.schedule(rng.randrange(4), lambda: work(tag + 1))
-            if rng.random() < 0.3:
-                retained.append(
-                    sim.schedule(rng.randrange(90), lambda: work(-tag))
-                )
-            if retained and rng.random() < 0.4:
-                retained.pop(rng.randrange(len(retained))).cancel()
-
-        sim.schedule(0, lambda: work(1), daemon=False)
-        sim.schedule(3, lambda: journal.append((sim.now, "tick")), daemon=True)
-        sim.run(until=40)
-        journal.append(("now", sim.now))
-        sim.schedule(2, lambda: work(1000))
-        sim.run()
-        journal.append(("end", sim.now))
-        return journal
-
-    assert drive("calendar") == drive("heap")
-
-
-@pytest.mark.parametrize(
-    "share,window", [(0.10, 256), (0.20, 2048)]
-)
-def test_experiment_tables_byte_identical(share, window, monkeypatch):
-    """Reduced-scale E2/E3-style runs: the full regulated-platform
-    summary (per-master bytes, latencies, violation counts -- the
-    numbers the paper's tables are built from) must serialize to the
-    exact same JSON under either backend."""
-
-    def table(scheduler):
-        monkeypatch.setenv("REPRO_SCHED", scheduler)
-        config = loaded_config(
-            num_accels=2,
-            cpu_work=400,
-            accel_regulator=tc_spec(share, window_cycles=window),
-        )
-        result = run_experiment(config)
-        return result.summary().to_json()
-
-    assert table("calendar") == table("heap")
+    assert _execute(EventQueue(), program) == _execute(_ReferenceQueue(), program)

@@ -102,12 +102,7 @@ class TestKernelStats:
         stats = result.platform.sim.kernel_stats()
         assert stats["events_dispatched"] > 0
         assert stats["events_scheduled"] > 0
-        assert stats["backend"] in ("calendar", "heap")
-        if stats["backend"] == "calendar":
-            assert (
-                stats["ring_pushes"] + stats["overflow_pushes"]
-                == stats["events_scheduled"]
-            )
+        assert stats["backend"] == "heap"
         assert (
             stats["pool_allocations"] + stats["pool_reuses"]
             == stats["events_scheduled"]
