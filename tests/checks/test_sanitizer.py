@@ -12,9 +12,12 @@ def noop():
     pass
 
 
-@pytest.fixture
-def queue():
-    return SanitizingQueue(EventQueue())
+BACKENDS = [EventQueue]
+
+
+@pytest.fixture(params=BACKENDS, ids=["heap"])
+def queue(request):
+    return SanitizingQueue(request.param())
 
 
 class TestCleanRuns:
@@ -107,7 +110,6 @@ class TestInjectedViolations:
         queue.inner._live_foreground += 1
         with pytest.raises(SanitizerError, match="live_foreground"):
             queue.audit()
-
 
 
 class _BrokenQueue:

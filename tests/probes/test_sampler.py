@@ -17,6 +17,7 @@ from repro.probes.sampler import (
     resolve_probe_period,
 )
 from repro.runner import RunSpec, execute_spec
+from repro.sim.kernel import Simulator
 from repro.soc.platform import Platform
 from repro.soc.presets import zcu102
 
@@ -138,19 +139,26 @@ def _summary_json(seed, attach):
     return execute_spec(spec).to_json()
 
 
+@pytest.mark.parametrize("scheduler", ["heap"])
 class TestBitIdentity:
-    def test_publisher_sampler_leaves_results_byte_identical(self, monkeypatch):
+    def test_publisher_sampler_leaves_results_byte_identical(
+        self, scheduler, monkeypatch
+    ):
         """execute_spec with the probe plane active (publisher set -->
         sampler attached, frames streamed) returns the same serialized
-        summary as a bare run."""
+        summary as a bare run, on the kernel's queue backend."""
+        assert Simulator().kernel_stats()["backend"] == scheduler
         monkeypatch.setenv("REPRO_PROBE_PERIOD", "512")
         bare = _summary_json(3, attach=False)
         probed = _summary_json(3, attach=True)
         assert bare == probed
 
-    def test_direct_sampler_leaves_platform_results_identical(self):
+    def test_direct_sampler_leaves_platform_results_identical(
+        self, scheduler
+    ):
         def run(attach):
             platform = Platform(zcu102(num_accels=1, cpu_work=200, seed=7))
+            assert platform.sim.kernel_stats()["backend"] == scheduler
             if attach:
                 sampler = ProbeSampler(
                     platform.sim, platform.probes, period=256

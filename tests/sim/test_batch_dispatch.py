@@ -1,16 +1,19 @@
-"""Differential tests: batched dispatch against the per-event oracle.
+"""Journal tests for the dispatch loop.
 
-``REPRO_BATCH`` selects between two dispatch loops that are
-contractually bit-identical: the batched loop (one ``pop_cycle_batch``
-round-trip per cycle chunk, analytic idle-cycle skipping) and the
-per-event reference loop (one pop per event).  These tests drive both
-loops -- on both scheduler backends, with and without the kernel
-sanitizer -- with the same randomized programs and compare full
-dispatch journals exactly, plus targeted regressions for every way a
-batch can be interrupted: same-cycle pushes that sort into the
-undispatched tail (the dirty guard), mid-batch sibling cancels,
-self-cancels, daemons, stop requests, bounded runs, and cycles denser
-than one drain chunk.
+A seeded cascading program drives the kernel through every way a cycle
+can be interrupted -- same-cycle pushes that sort before or after the
+rest of their cycle, retained-handle cancels, push-then-cancel inside
+one cycle, daemons, stop requests and bounded runs -- and records a
+full dispatch journal.  The journal must be identical on rerun, with
+the sanitizer on, when the run is split by ``run(until=...)`` or
+``request_stop``, and with a profiler attached.  Targeted cases pin
+same-cycle push order and cancels issued from inside a cycle.
+
+The module, class and test names date from when the kernel also had a
+batched dispatch loop and these tests compared it against the
+per-event loop; they are kept so test ids stay comparable across
+versions.  The ``scheduler`` parameter names the kernel's one queue
+backend, and each run checks that it dispatched on it.
 """
 
 import random
@@ -19,19 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.kernel as kernel_mod
-from repro.sim.calendar import _BUCKETS, CalendarQueue
-from repro.sim.event import EventQueue
-from repro.sim.kernel import (
-    AUTO_BATCH,
-    AUTO_PROMOTE_THRESHOLD,
-    BATCH_CHUNK,
-    Phase,
-    Simulator,
-    resolve_batch,
-)
+from repro.sim.kernel import Phase, Simulator
+from repro.telemetry.profiler import PhaseProfiler
 
-BACKENDS = ("heap", "calendar")
+BACKENDS = ("heap",)
 
 PRIORITIES = (
     Phase.REGULATOR,
@@ -44,39 +38,46 @@ PRIORITIES = (
 )
 
 
-def _run_program(scheduler, batch, seed, until=None, stop_after=None):
-    """Drive a randomized cascading workload; return its journal.
+def _simulator(scheduler):
+    sim = Simulator()
+    assert sim.kernel_stats()["backend"] == scheduler
+    return sim
 
-    The workload mixes same-cycle pushes at arbitrary phases (which
-    may sort before, into, or after the in-flight batch), future
-    pushes across bucket-wrap distances, retained-handle cancels,
-    same-cycle cancel-after-push, daemons, and an optional mid-run
-    stop -- every interruption path of the batched loop.
+
+def _run_program(scheduler, seed, bounds=(), stop_every=None, profiler=None):
+    """Drive a seeded cascading workload; return its journal.
+
+    The workload mixes same-cycle pushes at arbitrary phases (sorting
+    before or after the rest of the cycle), future pushes, retained-
+    handle cancels, same-cycle push-then-cancel and a daemon.  The
+    run is split at each cycle in ``bounds`` (``run(until=...)``) and,
+    with ``stop_every``, by a ``request_stop`` after every
+    ``stop_every``-th callback, resuming with ``run()`` until a run
+    ends without a stop.  Neither split changes what the callbacks
+    do, so every split must journal like one unbounded run.
     """
-    sim = Simulator(scheduler=scheduler, batch=batch)
+    sim = _simulator(scheduler)
     rng = random.Random(seed)
     journal = []
     retained = []
     budget = [400]
+    stops = [0]
 
     def work(tag):
         journal.append((sim.now, tag))
-        if stop_after is not None and len(journal) >= stop_after:
+        if stop_every is not None and len(journal) % stop_every == 0:
             sim.request_stop()
-            return
+            stops[0] += 1
         if budget[0] <= 0:
             return
         budget[0] -= 1
-        r = rng.random()
-        if r < 0.40:
-            # Same-cycle push at a random phase: sorts anywhere
-            # relative to the batch's undispatched tail.
+        if rng.random() < 0.40:
             sim.schedule(
                 0, lambda: work(tag + 1), priority=rng.choice(PRIORITIES)
             )
-        if rng.random() < 0.55:
+        if rng.random() < 0.80:
             sim.schedule(
-                rng.choice((1, 2, 3, rng.randrange(1, 2 * _BUCKETS))),
+                rng.choice((1, 2, 3, rng.randrange(1, 512))),
                 lambda: work(tag + 100),
                 priority=rng.choice(PRIORITIES),
             )
@@ -91,236 +92,183 @@ def _run_program(scheduler, batch, seed, until=None, stop_after=None):
         if retained and rng.random() < 0.35:
             retained.pop(rng.randrange(len(retained))).cancel()
         if rng.random() < 0.10:
-            # Push-then-cancel inside one cycle: the shell must be
-            # purged identically on both dispatch paths.
             ev = sim.schedule(0, lambda: journal.append("never"), priority=90)
             ev.cancel()
 
-    # A dense opening cycle across phases, plus daemon background.
     for phase in PRIORITIES:
         sim.schedule(1, lambda p=phase: work(p), priority=phase)
-    sim.schedule(
-        2, lambda: journal.append((sim.now, "tick")), daemon=True
-    )
-    if until is not None:
-        sim.run(until=until)
-        # live_foreground, not pending_events: cancelled shells are
-        # purged at different (legal) moments by the two loops.
-        journal.append(("bound", sim.now, sim._queue.live_foreground))
-    sim.run()
+    sim.schedule(2, lambda: journal.append((sim.now, "tick")), daemon=True)
+    if profiler is not None:
+        profiler.attach(sim)
+    for bound in bounds + (None,):
+        while True:
+            before = stops[0]
+            sim.run(until=bound)
+            if stops[0] == before:
+                break
+        if bound is not None:
+            assert sim.now == bound
     journal.append(("end", sim.now, sim.events_dispatched))
     return journal
 
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 @pytest.mark.parametrize("seed", range(8))
-def test_randomized_programs_bit_identical(scheduler, seed):
-    batched = _run_program(scheduler, True, seed)
-    per_event = _run_program(scheduler, False, seed)
-    assert batched == per_event
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_randomized_programs_identical_across_backends(seed):
-    journals = {
-        (sched, batch): _run_program(sched, batch, seed)
-        for sched in BACKENDS
-        for batch in (True, False)
-    }
-    reference = journals[("heap", False)]
-    for key, journal in journals.items():
-        assert journal == reference, key
+def test_randomized_programs_bit_identical(scheduler, seed, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    first = _run_program(scheduler, seed)
+    assert len(first) > 100  # the program must do real work
+    assert _run_program(scheduler, seed) == first
 
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_programs_with_sanitizer(scheduler, seed, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plain = _run_program(scheduler, seed)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    batched = _run_program(scheduler, True, seed)
-    per_event = _run_program(scheduler, False, seed)
-    assert batched == per_event
+    assert _run_program(scheduler, seed) == plain
 
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_bounded_and_stopped_runs_bit_identical(scheduler, seed):
-    assert _run_program(scheduler, True, seed, until=9) == _run_program(
-        scheduler, False, seed, until=9
-    )
-    assert _run_program(scheduler, True, seed, stop_after=25) == _run_program(
-        scheduler, False, seed, stop_after=25
-    )
+    whole = _run_program(scheduler, seed)
+    assert _run_program(scheduler, seed, bounds=(1, 9, 40, 300)) == whole
+    assert _run_program(scheduler, seed, stop_every=25) == whole
+    assert _run_program(scheduler, seed, bounds=(9,), stop_every=7) == whole
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-@pytest.mark.parametrize("seed", range(4))
-def test_chunked_cycles_bit_identical(scheduler, seed, monkeypatch):
-    """A tiny drain chunk forces every dense cycle through the
-    chunked partial-drain path (requeue-free mid-cycle re-batching)."""
-    monkeypatch.setattr(kernel_mod, "BATCH_CHUNK", 3)
-    batched = _run_program(scheduler, True, seed)
-    monkeypatch.setattr(kernel_mod, "BATCH_CHUNK", BATCH_CHUNK)
-    assert batched == _run_program(scheduler, False, seed)
+@pytest.mark.parametrize("seed", range(2))
+def test_profiled_run_is_identical(seed):
+    whole = _run_program("heap", seed)
+    profiler = PhaseProfiler()
+    assert _run_program("heap", seed, profiler=profiler) == whole
+    assert profiler.events == whole[-1][2]
 
 
 class TestDirtyGuard:
-    """Same-cycle pushes that must interleave into the batch tail."""
+    """Same-cycle pushes must interleave with the rest of their cycle."""
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_push_into_middle_of_tail(self, scheduler):
         # During the priority-0 callback, push priority 20 while the
-        # undispatched tail is [10, 30]: the push sorts *between* the
-        # remaining entries, so the batch must go dirty even though
-        # the next entry (10) dispatches first.  (Regression: a guard
-        # comparing only against the next entry misses this.)
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
+        # rest of the cycle is [10, 30]: the push fires between them.
+        sim = _simulator(scheduler)
+        order = []
 
-            def pusher():
-                order.append(0)
-                sim.schedule(0, lambda: order.append(20), priority=20)
+        def pusher():
+            order.append(0)
+            sim.schedule(0, lambda: order.append(20), priority=20)
 
-            sim.schedule_at(5, pusher, priority=0)
-            sim.schedule_at(5, lambda: order.append(10), priority=10)
-            sim.schedule_at(5, lambda: order.append(30), priority=30)
-            sim.run()
-            return order
-
-        assert drive(True) == drive(False) == [0, 10, 20, 30]
+        sim.schedule_at(5, pusher, priority=0)
+        sim.schedule_at(5, lambda: order.append(10), priority=10)
+        sim.schedule_at(5, lambda: order.append(30), priority=30)
+        sim.run()
+        assert order == [0, 10, 20, 30]
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_push_before_whole_tail(self, scheduler):
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
+        sim = _simulator(scheduler)
+        order = []
 
-            def pusher():
-                order.append("reg")
-                sim.schedule(0, lambda: order.append("mast2"), priority=10)
+        def pusher():
+            order.append("reg")
+            sim.schedule(0, lambda: order.append("mast2"), priority=10)
 
-            sim.schedule_at(3, pusher, priority=Phase.REGULATOR)
-            sim.schedule_at(3, lambda: order.append("arb"), priority=20)
-            sim.schedule_at(3, lambda: order.append("stats"), priority=90)
-            sim.run()
-            return order
-
-        assert drive(True) == drive(False) == ["reg", "mast2", "arb", "stats"]
+        sim.schedule_at(3, pusher, priority=Phase.REGULATOR)
+        sim.schedule_at(3, lambda: order.append("arb"), priority=20)
+        sim.schedule_at(3, lambda: order.append("stats"), priority=90)
+        sim.run()
+        assert order == ["reg", "mast2", "arb", "stats"]
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_push_after_tail_is_not_dirty_but_still_fires(self, scheduler):
-        # Equal/higher priority sorts after every remaining entry (new
-        # seq): no fallback needed, but the event still fires within
-        # the same cycle, after the batch.
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
+        # Equal priority sorts after every remaining entry (new seq):
+        # the event still fires within the same cycle, last.
+        sim = _simulator(scheduler)
+        order = []
 
-            def pusher():
-                order.append("a")
-                sim.schedule(0, lambda: order.append("late"), priority=90)
+        def pusher():
+            order.append("a")
+            sim.schedule(0, lambda: order.append("late"), priority=90)
 
-            sim.schedule_at(7, pusher, priority=10)
-            sim.schedule_at(7, lambda: order.append("b"), priority=90)
-            sim.run()
-            return order, sim.now
-
-        assert drive(True) == drive(False) == (["a", "b", "late"], 7)
+        sim.schedule_at(7, pusher, priority=10)
+        sim.schedule_at(7, lambda: order.append("b"), priority=90)
+        sim.run()
+        assert (order, sim.now) == (["a", "b", "late"], 7)
 
 
 class TestMidBatchCancel:
+    """Cancels issued from inside a callback, against its own cycle."""
+
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_sibling_cancel_on_clean_queue(self, scheduler):
-        # No daemons, no prior cancels: the calendar backend takes its
-        # bulk fast path, so the cancel routes through the batch sink.
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
-            victims = {}
+        # A callback cancels a later event of its own cycle: the victim
+        # never fires and is not counted as dispatched.
+        sim = _simulator(scheduler)
+        order = []
+        victims = {}
 
-            def canceller():
-                order.append("c")
-                victims["v"].cancel()
+        def canceller():
+            order.append("c")
+            victims["v"].cancel()
 
-            sim.schedule_at(4, canceller, priority=0)
-            sim.schedule_at(4, lambda: order.append("mid"), priority=10)
-            victims["v"] = sim.schedule_at(
-                4, lambda: order.append("victim"), priority=30
-            )
-            sim.run()
-            return order, sim.events_dispatched
-
-        assert drive(True) == drive(False) == (["c", "mid"], 2)
+        sim.schedule_at(4, canceller, priority=0)
+        sim.schedule_at(4, lambda: order.append("mid"), priority=10)
+        victims["v"] = sim.schedule_at(
+            4, lambda: order.append("victim"), priority=30
+        )
+        sim.run()
+        assert (order, sim.events_dispatched) == (["c", "mid"], 2)
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_self_cancel_is_noop(self, scheduler):
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
-            handle = {}
+        # cancel() from inside the event's own callback comes after its
+        # dispatch and must not disturb the queue's accounting.
+        sim = _simulator(scheduler)
+        order = []
+        handle = {}
 
-            def selfish():
-                order.append("s")
-                handle["me"].cancel()
+        def selfish():
+            order.append("s")
+            handle["me"].cancel()
 
-            handle["me"] = sim.schedule_at(2, selfish, priority=0)
-            sim.schedule_at(2, lambda: order.append("after"), priority=10)
-            sim.schedule_at(6, lambda: order.append("later"))
-            sim.run()
-            return order, sim.now
-
-        assert drive(True) == drive(False) == (["s", "after", "later"], 6)
+        handle["me"] = sim.schedule_at(2, selfish, priority=0)
+        sim.schedule_at(2, lambda: order.append("after"), priority=10)
+        sim.schedule_at(6, lambda: order.append("later"))
+        sim.run()
+        assert (order, sim.now) == (["s", "after", "later"], 6)
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_cancel_last_foreground_ends_run_before_daemon(self, scheduler):
-        # A callback cancels the only other foreground event while a
-        # same-cycle daemon waits behind it: with no live foreground
-        # work left, the daemon must not fire (per-event semantics).
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
-            victims = {}
+        # With no live foreground work left, a same-cycle daemon behind
+        # the cancelled victim must not fire.
+        sim = _simulator(scheduler)
+        order = []
+        victims = {}
 
-            def canceller():
-                order.append("c")
-                victims["v"].cancel()
+        def canceller():
+            order.append("c")
+            victims["v"].cancel()
 
-            sim.schedule_at(3, canceller, priority=0)
-            victims["v"] = sim.schedule_at(
-                3, lambda: order.append("victim"), priority=20
-            )
-            sim.schedule_at(
-                3, lambda: order.append("daemon"), priority=50, daemon=True
-            )
-            sim.run()
-            return order
-
-        assert drive(True) == drive(False) == ["c"]
+        sim.schedule_at(3, canceller, priority=0)
+        victims["v"] = sim.schedule_at(
+            3, lambda: order.append("victim"), priority=20
+        )
+        sim.schedule_at(
+            3, lambda: order.append("daemon"), priority=50, daemon=True
+        )
+        sim.run()
+        assert order == ["c"]
 
 
 class TestIdleSkipAccounting:
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_gaps_are_counted(self, scheduler):
-        sim = Simulator(scheduler=scheduler, batch=True)
-        for t in (5, 6, 20):
-            sim.schedule_at(t, lambda: None)
-        sim.run()
-        # 0->5 skips 1..4 (4 cycles); 6->20 skips 7..19 (13 cycles).
-        assert sim.idle_cycles_skipped == 17
-        assert sim.kernel_stats()["idle_cycles_skipped"] == 17
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_per_event_mode_reports_zero(self, scheduler):
-        sim = Simulator(scheduler=scheduler, batch=False)
-        sim.schedule_at(50, lambda: None)
-        sim.run()
-        assert sim.idle_cycles_skipped == 0
-
     @settings(max_examples=60, deadline=None)
     @given(
         times=st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=3 * _BUCKETS),
+                st.integers(min_value=0, max_value=768),
                 st.sampled_from(PRIORITIES),
             ),
             min_size=1,
@@ -329,290 +277,22 @@ class TestIdleSkipAccounting:
         scheduler=st.sampled_from(BACKENDS),
     )
     def test_idle_skip_never_skips_an_event(self, times, scheduler):
-        """Property: every scheduled event fires at exactly its cycle,
-        ``now`` is monotonic, and the skip count equals the sum of the
-        gaps between consecutive dispatched cycles."""
-        sim = Simulator(scheduler=scheduler, batch=True)
+        """Property: jumping over idle cycles never skips an event --
+        every scheduled event fires at exactly its cycle, in
+        ``(time, priority, insertion)`` order."""
+        sim = _simulator(scheduler)
         fired = []
-        for t, priority in times:
+        for index, (t, priority) in enumerate(times):
             sim.schedule_at(
-                t, lambda t=t: fired.append((sim.now, t)), priority=priority
+                t,
+                lambda t=t, p=priority, i=index: fired.append(
+                    (sim.now, t, p, i)
+                ),
+                priority=priority,
             )
         sim.run()
         assert len(fired) == len(times)
-        assert all(now == t for now, t in fired)
-        nows = [now for now, _ in fired]
-        assert nows == sorted(nows)
-        expected = 0
-        previous = 0
-        for t in sorted({t for t, _ in times}):
-            expected += max(0, t - previous - 1)
-            previous = t
-        assert sim.idle_cycles_skipped == expected
-
-
-class TestAutoScheduler:
-    def test_tiny_run_stays_on_heap(self):
-        sim = Simulator(scheduler="auto", batch=True)
-        fired = []
-        for i in range(32):
-            sim.schedule(1 + i % 5, lambda: fired.append(sim.now))
-        sim.run()
-        assert len(fired) == 32
-        assert sim.backend == "heap"
-        assert sim.auto_promotions == 0
-
-    def test_stress_population_promotes_once(self):
-        sim = Simulator(scheduler="auto", batch=True)
-        count = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 64):
-            sim.schedule(1 + (i % 7), lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        assert count[0] == AUTO_PROMOTE_THRESHOLD + 64
-        assert sim.backend == "calendar"
-        assert sim.auto_promotions == 1
-        stats = sim.kernel_stats()
-        assert stats["scheduler"] == "auto"
-        assert stats["auto_promotions"] == 1
-
-    @pytest.mark.parametrize("batch", (True, False))
-    def test_promoting_run_matches_static_backends(self, batch):
-        """A workload that crosses the promotion threshold mid-run
-        must journal identically under auto, heap, and calendar."""
-
-        def drive(scheduler):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            rng = random.Random(99)
-            journal = []
-
-            def ramp():
-                journal.append((sim.now, "ramp"))
-                for i in range(AUTO_PROMOTE_THRESHOLD + 256):
-                    delay = 1 + rng.randrange(40)
-                    sim.schedule(
-                        delay,
-                        lambda d=delay: journal.append((sim.now, d)),
-                        priority=rng.choice(PRIORITIES),
-                    )
-
-            sim.schedule(1, ramp)
-            sim.run()
-            journal.append(("end", sim.now, sim.events_dispatched))
-            return journal
-
-        auto = drive("auto")
-        assert auto == drive("heap") == drive("calendar")
-
-    def test_promotion_preserves_daemon_accounting(self):
-        """Daemons transplanted by from_heap must keep the calendar's
-        live-daemon gate exact (the bulk fast path depends on it)."""
-        sim = Simulator(scheduler="auto", batch=True)
-        ticks = []
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) < 50:
-                sim.schedule(5, tick, daemon=True)
-
-        sim.schedule(2, tick, daemon=True)
-        fired = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 16):
-            sim.schedule(1 + (i % 30), lambda: fired.__setitem__(0, fired[0] + 1))
-        sim.run()
-        assert sim.backend == "calendar"
-        assert fired[0] == AUTO_PROMOTE_THRESHOLD + 16
-        queue = getattr(sim._queue, "inner", sim._queue)
-        assert isinstance(queue, CalendarQueue)
-        assert queue._live_daemons >= 0
-
-
-class TestResolveBatch:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(None) is AUTO_BATCH
-
-    @pytest.mark.parametrize(
-        "value", ["0", "off", "no", "false", "event", "per-event"]
-    )
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert resolve_batch(None) is False
-
-    @pytest.mark.parametrize("value", ["1", "on", "batch"])
-    def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert resolve_batch(None) is True
-
-    def test_explicit_auto_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "auto")
-        assert resolve_batch(None) is AUTO_BATCH
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert resolve_batch(False) is False
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert resolve_batch(True) is True
-        assert resolve_batch(AUTO_BATCH) is AUTO_BATCH
-
-
-class TestAutoBatch:
-    """Population-aware dispatch-mode promotion (``REPRO_BATCH=auto``).
-
-    Mirrors ``TestAutoScheduler``: tiny populations stay on the
-    per-event loop (schema-4 bench rows showed batching costs 13-21%
-    there), large populations promote to the batched loop once, and a
-    promoting run journals identically to both static modes.
-    """
-
-    def test_tiny_run_stays_per_event(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        fired = []
-        for i in range(64):
-            sim.schedule(1 + i % 5, lambda: fired.append(sim.now))
-        sim.run()
-        assert len(fired) == 64
-        assert sim.batch_mode == "auto"
-        assert sim.batched is False
-        assert sim.batch_promotions == 0
-        assert sim.kernel_stats()["batch_policy"] == "auto"
-
-    def test_stress_population_promotes_once(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        count = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 64):
-            sim.schedule(1 + (i % 7), lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        assert count[0] == AUTO_PROMOTE_THRESHOLD + 64
-        assert sim.batched is True
-        assert sim.batch_promotions == 1
-        assert sim.kernel_stats()["batch_promotions"] == 1
-
-    def test_promotion_runs_finalizers_once(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        finals = []
-        sim.add_finalizer(lambda now: finals.append(now))
-        for i in range(AUTO_PROMOTE_THRESHOLD + 8):
-            sim.schedule(1 + (i % 3), lambda: None)
-        sim.run()
-        assert sim.batch_promotions == 1
-        assert len(finals) == 1
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_auto_matches_static_modes(self, scheduler, seed):
-        auto = _run_program(scheduler, AUTO_BATCH, seed)
-        assert auto == _run_program(scheduler, True, seed)
-        assert auto == _run_program(scheduler, False, seed)
-
-    def test_promoting_run_matches_static_modes(self):
-        """A workload crossing the threshold mid-run must journal
-        identically under auto, batched, and per-event dispatch."""
-
-        def drive(batch):
-            sim = Simulator(batch=batch)
-            rng = random.Random(42)
-            journal = []
-
-            def ramp():
-                journal.append((sim.now, "ramp"))
-                for _ in range(AUTO_PROMOTE_THRESHOLD + 256):
-                    delay = 1 + rng.randrange(40)
-                    sim.schedule(
-                        delay,
-                        lambda d=delay: journal.append((sim.now, d)),
-                        priority=rng.choice(PRIORITIES),
-                    )
-
-            sim.schedule(1, ramp)
-            sim.run()
-            journal.append(("end", sim.now, sim.events_dispatched))
-            return journal, sim.batch_promotions
-
-        auto, promotions = drive(AUTO_BATCH)
-        assert promotions == 1
-        assert auto == drive(True)[0] == drive(False)[0]
-
-    def test_promoting_bounded_run_respects_until(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        fired = []
-        for i in range(AUTO_PROMOTE_THRESHOLD + 32):
-            sim.schedule(1 + (i % 50), lambda: fired.append(sim.now))
-        sim.run(until=10)
-        assert sim.batch_promotions == 1
-        assert sim.now == 10
-        assert all(t <= 10 for t in fired)
-        sim.run()
-        assert len(fired) == AUTO_PROMOTE_THRESHOLD + 32
-
-    def test_auto_composes_with_auto_scheduler(self):
-        sim = Simulator(scheduler="auto", batch=AUTO_BATCH)
-        count = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 64):
-            sim.schedule(1 + (i % 9), lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        assert count[0] == AUTO_PROMOTE_THRESHOLD + 64
-        assert sim.backend == "calendar"
-        assert sim.batched is True
-        assert sim.auto_promotions == 1
-        assert sim.batch_promotions == 1
-
-
-class TestChunkedQueueDrain:
-    """pop_cycle_batch(limit=...) at the queue level."""
-
-    @pytest.mark.parametrize("queue_cls", (EventQueue, CalendarQueue))
-    def test_chunks_concatenate_to_full_drain(self, queue_cls):
-        rng = random.Random(7)
-        full, chunked = queue_cls(), queue_cls()
-        for _ in range(40):
-            priority = rng.randrange(8)
-            full.push(3, priority, None)
-            chunked.push(3, priority, None)
-
-        out_full = []
-        fg_full = full.pop_cycle_batch(3, out_full, None)
-        out_chunks = []
-        fg_chunks = 0
-        while True:
-            before = len(out_chunks)
-            fg_chunks += chunked.pop_cycle_batch(3, out_chunks, None, 7)
-            if len(out_chunks) == before:
-                break
-        assert fg_full == fg_chunks == 40
-        assert [(e[-3], e[-1] is not None) for e in out_full] == [
-            (e[-3], e[-1] is not None) for e in out_chunks
-        ]
-        priorities = [e[-3] for e in out_chunks]
-        assert priorities == sorted(priorities)
-        assert chunked.live_foreground == 0
-
-    @pytest.mark.parametrize("queue_cls", (EventQueue, CalendarQueue))
-    def test_partial_drain_leaves_remainder_poppable(self, queue_cls):
-        queue = queue_cls()
-        for priority in (5, 1, 3, 9, 7):
-            queue.push(10, priority, None)
-        out = []
-        fg = queue.pop_cycle_batch(10, out, None, 2)
-        assert fg == 2
-        assert [e[-3] for e in out] == [1, 3]
-        assert queue.peek_time() == 10
-        assert [queue.pop().priority for _ in range(3)] == [5, 7, 9]
-
-    def test_calendar_daemon_purge_on_chunked_slow_path(self):
-        queue = CalendarQueue()
-        for priority in (1, 2, 3, 4):
-            queue.push(6, priority, None)
-        queue.push(6, 5, None, daemon=True)
-        cancelled = queue.push(6, 0, None)
-        cancelled.cancel()
-        out = []
-        total_fg = 0
-        while True:
-            before = len(out)
-            total_fg += queue.pop_cycle_batch(6, out, None, 2)
-            if len(out) == before:
-                break
-        assert total_fg == 4
-        assert len(out) == 5  # 4 foreground + 1 daemon; shell purged
-        assert queue._live_daemons == 0
-        assert queue.live_foreground == 0
+        assert all(now == t for now, t, _, _ in fired)
+        assert [f[1:] for f in fired] == sorted(
+            (t, p, i) for i, (t, p) in enumerate(times)
+        )

@@ -7,9 +7,19 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.event import _COMPACT_MIN_HEAP, Event, EventQueue
 
+#: Queue backends under test, by the name ``kernel_stats()["backend"]``
+#: reports; the name also tags each test id.
+BACKENDS = {"heap": EventQueue}
+
+
+@pytest.fixture(params=sorted(BACKENDS), name="make_queue")
+def _make_queue(request):
+    return BACKENDS[request.param]
+
+
 class TestEventOrdering:
-    def test_orders_by_time(self):
-        q = EventQueue()
+    def test_orders_by_time(self, make_queue):
+        q = make_queue()
         fired = []
         q.push(10, 0, lambda: fired.append("b"))
         q.push(5, 0, lambda: fired.append("a"))
@@ -17,8 +27,8 @@ class TestEventOrdering:
         q.pop().callback()
         assert fired == ["a", "b"]
 
-    def test_same_time_orders_by_priority(self):
-        q = EventQueue()
+    def test_same_time_orders_by_priority(self, make_queue):
+        q = make_queue()
         fired = []
         q.push(5, 7, lambda: fired.append("low"))
         q.push(5, 1, lambda: fired.append("high"))
@@ -26,8 +36,8 @@ class TestEventOrdering:
         q.pop().callback()
         assert fired == ["high", "low"]
 
-    def test_same_time_same_priority_fifo(self):
-        q = EventQueue()
+    def test_same_time_same_priority_fifo(self, make_queue):
+        q = make_queue()
         fired = []
         for i in range(5):
             q.push(5, 0, lambda i=i: fired.append(i))
@@ -43,8 +53,8 @@ class TestEventOrdering:
 
 
 class TestCancellation:
-    def test_cancelled_event_is_skipped(self):
-        q = EventQueue()
+    def test_cancelled_event_is_skipped(self, make_queue):
+        q = make_queue()
         fired = []
         ev = q.push(1, 0, lambda: fired.append("x"))
         q.push(2, 0, lambda: fired.append("y"))
@@ -52,35 +62,35 @@ class TestCancellation:
         q.pop().callback()
         assert fired == ["y"]
 
-    def test_pop_empty_raises(self):
-        q = EventQueue()
+    def test_pop_empty_raises(self, make_queue):
+        q = make_queue()
         with pytest.raises(SimulationError):
             q.pop()
 
-    def test_pop_all_cancelled_raises(self):
-        q = EventQueue()
+    def test_pop_all_cancelled_raises(self, make_queue):
+        q = make_queue()
         q.push(1, 0, lambda: None).cancel()
         with pytest.raises(SimulationError):
             q.pop()
 
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
+    def test_peek_skips_cancelled(self, make_queue):
+        q = make_queue()
         q.push(1, 0, lambda: None).cancel()
         q.push(9, 0, lambda: None)
         assert q.peek_time() == 9
 
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+    def test_peek_empty_returns_none(self, make_queue):
+        assert make_queue().peek_time() is None
 
-    def test_clear(self):
-        q = EventQueue()
+    def test_clear(self, make_queue):
+        q = make_queue()
         q.push(1, 0, lambda: None)
         q.clear()
         assert q.peek_time() is None
         assert len(q) == 0
 
-    def test_cancel_after_clear_is_inert(self):
-        q = EventQueue()
+    def test_cancel_after_clear_is_inert(self, make_queue):
+        q = make_queue()
         ev = q.push(1, 0, lambda: None)
         q.clear()
         ev.cancel()
@@ -88,8 +98,8 @@ class TestCancellation:
 
 
 class TestLiveForegroundAccounting:
-    def test_cancel_decrements_immediately(self):
-        q = EventQueue()
+    def test_cancel_decrements_immediately(self, make_queue):
+        q = make_queue()
         ev = q.push(1, 0, lambda: None)
         q.push(2, 0, lambda: None)
         assert q.live_foreground == 2
@@ -99,15 +109,15 @@ class TestLiveForegroundAccounting:
         assert q.live_foreground == 1
         assert len(q) == 2
 
-    def test_double_cancel_counts_once(self):
-        q = EventQueue()
+    def test_double_cancel_counts_once(self, make_queue):
+        q = make_queue()
         ev = q.push(1, 0, lambda: None)
         ev.cancel()
         ev.cancel()
         assert q.live_foreground == 0
 
-    def test_cancel_after_pop_does_not_decrement(self):
-        q = EventQueue()
+    def test_cancel_after_pop_does_not_decrement(self, make_queue):
+        q = make_queue()
         ev = q.push(1, 0, lambda: None)
         q.push(2, 0, lambda: None)
         popped = q.pop()
@@ -116,16 +126,16 @@ class TestLiveForegroundAccounting:
         ev.cancel()  # already dispatched; must not touch the counter
         assert q.live_foreground == 1
 
-    def test_daemon_cancel_leaves_foreground_alone(self):
-        q = EventQueue()
+    def test_daemon_cancel_leaves_foreground_alone(self, make_queue):
+        q = make_queue()
         ev = q.push(1, 0, lambda: None, daemon=True)
         q.push(2, 0, lambda: None)
         assert q.live_foreground == 1
         ev.cancel()
         assert q.live_foreground == 1
 
-    def test_popping_cancelled_shells_does_not_double_count(self):
-        q = EventQueue()
+    def test_popping_cancelled_shells_does_not_double_count(self, make_queue):
+        q = make_queue()
         events = [q.push(t, 0, lambda: None) for t in range(5)]
         for ev in events[:4]:
             ev.cancel()
@@ -135,8 +145,8 @@ class TestLiveForegroundAccounting:
 
 
 class TestCompaction:
-    def test_majority_cancelled_queue_compacts(self):
-        q = EventQueue()
+    def test_majority_cancelled_queue_compacts(self, make_queue):
+        q = make_queue()
         events = [q.push(t, 0, lambda: None) for t in range(200)]
         for ev in events[:150]:
             ev.cancel()
@@ -147,8 +157,8 @@ class TestCompaction:
         assert q.cancelled_pending * 2 <= len(q)
         assert q.live_foreground == 50
 
-    def test_compaction_preserves_order(self):
-        q = EventQueue()
+    def test_compaction_preserves_order(self, make_queue):
+        q = make_queue()
         fired = []
         events = []
         for t in range(100):
@@ -160,8 +170,8 @@ class TestCompaction:
             q.pop().callback()
         assert fired == list(range(0, 100, 2))
 
-    def test_small_queues_stay_lazy(self):
-        q = EventQueue()
+    def test_small_queues_stay_lazy(self, make_queue):
+        q = make_queue()
         events = [q.push(t, 0, lambda: None) for t in range(10)]
         for ev in events[:9]:
             ev.cancel()
@@ -169,12 +179,12 @@ class TestCompaction:
         assert len(q) == 10
         assert q.cancelled_pending == 9
 
-    def test_cancel_heavy_at_compaction_floor(self):
+    def test_cancel_heavy_at_compaction_floor(self, make_queue):
         # Exactly _COMPACT_MIN_HEAP resident events, all but one
         # cancelled: the threshold comparison sits right on its
         # boundary, where an off-by-one would either compact a queue
         # meant to stay lazy or let shells accumulate unboundedly.
-        q = EventQueue()
+        q = make_queue()
         events = [
             q.push(t, 0, lambda: None) for t in range(_COMPACT_MIN_HEAP)
         ]
@@ -189,8 +199,8 @@ class TestCompaction:
         with pytest.raises(SimulationError):
             q.pop()
 
-    def test_one_below_compaction_floor_stays_lazy(self):
-        q = EventQueue()
+    def test_one_below_compaction_floor_stays_lazy(self, make_queue):
+        q = make_queue()
         events = [
             q.push(t, 0, lambda: None) for t in range(_COMPACT_MIN_HEAP - 1)
         ]
@@ -200,11 +210,11 @@ class TestCompaction:
         assert len(q) == _COMPACT_MIN_HEAP - 1
         assert q.cancelled_pending == _COMPACT_MIN_HEAP - 1
 
-    def test_cancel_after_dispatch_never_skews_compaction(self):
+    def test_cancel_after_dispatch_never_skews_compaction(self, make_queue):
         # A late cancel() on a dispatched event must neither decrement
         # live_foreground nor count toward the pending-shell total that
         # drives compaction.
-        q = EventQueue()
+        q = make_queue()
         dispatched = []
         for t in range(_COMPACT_MIN_HEAP):
             q.push(t, 0, lambda: None)
@@ -223,8 +233,8 @@ class TestCompaction:
 
 
 class TestPopIfAt:
-    def test_pops_only_matching_time(self):
-        q = EventQueue()
+    def test_pops_only_matching_time(self, make_queue):
+        q = make_queue()
         q.push(5, 0, lambda: None)
         q.push(7, 0, lambda: None)
         assert q.pop_if_at(4) is None
@@ -233,15 +243,15 @@ class TestPopIfAt:
         assert q.pop_if_at(5) is None
         assert q.peek_time() == 7
 
-    def test_skips_cancelled_shells(self):
-        q = EventQueue()
+    def test_skips_cancelled_shells(self, make_queue):
+        q = make_queue()
         q.push(5, 0, lambda: None).cancel()
         q.push(5, 1, lambda: None)
         ev = q.pop_if_at(5)
         assert ev is not None and ev.priority == 1
 
-    def test_empty_queue_returns_none(self):
-        assert EventQueue().pop_if_at(0) is None
+    def test_empty_queue_returns_none(self, make_queue):
+        assert make_queue().pop_if_at(0) is None
 
 
 #: One step of the property-test workload: (opcode, operand) pairs
@@ -258,11 +268,12 @@ _OPS = st.lists(
 class TestLiveForegroundProperty:
     @settings(max_examples=60, deadline=None)
     @given(ops=_OPS)
-    def test_live_foreground_never_negative(self, ops):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_live_foreground_never_negative(self, backend, ops):
         """``live_foreground`` tracks the model count and never dips
         below zero, however pushes, cancels (including double cancels
         and cancels of dispatched events) and pops interleave."""
-        q = EventQueue()
+        q = BACKENDS[backend]()
         handles = []  # every handle ever issued, dispatched or not
         model_live = 0
         for op, arg in ops:

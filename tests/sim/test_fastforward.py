@@ -133,10 +133,12 @@ class TestByteIdentity:
         assert stats["ff_regions"] > 0  # identity must not be vacuous
         assert on == off
 
-    def test_steady_multi_stream(self, monkeypatch):
+    @pytest.mark.parametrize("scheduler", ["heap"])
+    def test_steady_multi_stream(self, monkeypatch, scheduler):
         config = steady_config(num_streams=3)
         off, _ = run_table(config, monkeypatch, fastforward=False)
         on, stats = run_table(config, monkeypatch, fastforward=True)
+        assert stats["backend"] == scheduler
         assert stats["ff_regions"] > 0
         assert on == off
 

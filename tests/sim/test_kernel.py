@@ -1,12 +1,9 @@
 """Unit tests for the Simulator event loop."""
 
-import random
-
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Phase, Simulator
-from repro.telemetry.profiler import PhaseProfiler
 
 
 class TestScheduling:
@@ -137,167 +134,3 @@ class TestStopAndFinalize:
         sim.schedule(1, evil)
         with pytest.raises(SimulationError):
             sim.run()
-
-
-class TestMidCycleCancel:
-    def test_sibling_cancel(self, sim):
-        # A callback cancels a later event of its own cycle: the victim
-        # never fires and is not counted as dispatched.
-        order = []
-        victims = {}
-
-        def canceller():
-            order.append("c")
-            victims["v"].cancel()
-
-        sim.schedule_at(4, canceller, priority=0)
-        sim.schedule_at(4, lambda: order.append("mid"), priority=10)
-        victims["v"] = sim.schedule_at(
-            4, lambda: order.append("victim"), priority=30
-        )
-        sim.run()
-        assert (order, sim.events_dispatched) == (["c", "mid"], 2)
-
-    def test_self_cancel_is_noop(self, sim):
-        # cancel() from inside the event's own callback comes after its
-        # dispatch and must not disturb the queue's accounting.
-        order = []
-        handle = {}
-
-        def selfish():
-            order.append("s")
-            handle["me"].cancel()
-
-        handle["me"] = sim.schedule_at(2, selfish, priority=0)
-        sim.schedule_at(2, lambda: order.append("after"), priority=10)
-        sim.schedule_at(6, lambda: order.append("later"))
-        sim.run()
-        assert (order, sim.now) == (["s", "after", "later"], 6)
-
-    def test_cancel_last_foreground_ends_run_before_daemon(self, sim):
-        # With no live foreground work left, a same-cycle daemon behind
-        # the cancelled victim must not fire.
-        order = []
-        victims = {}
-
-        def canceller():
-            order.append("c")
-            victims["v"].cancel()
-
-        sim.schedule_at(3, canceller, priority=0)
-        victims["v"] = sim.schedule_at(
-            3, lambda: order.append("victim"), priority=20
-        )
-        sim.schedule_at(
-            3, lambda: order.append("daemon"), priority=50, daemon=True
-        )
-        sim.run()
-        assert order == ["c"]
-
-
-PRIORITIES = (
-    Phase.REGULATOR,
-    Phase.MASTER,
-    Phase.ARBITER,
-    Phase.MEMORY,
-    Phase.RESPONSE,
-    Phase.MONITOR,
-    Phase.STATS,
-)
-
-
-def _run_program(seed, bounds=(), stop_every=None, profiler=None):
-    """Drive a seeded cascading workload; return its journal.
-
-    The workload mixes same-cycle pushes at arbitrary phases (sorting
-    before or after the rest of the cycle), future pushes, retained-
-    handle cancels, same-cycle push-then-cancel and a daemon.  The
-    run is split at each cycle in ``bounds`` (``run(until=...)``) and,
-    with ``stop_every``, by a ``request_stop`` after every
-    ``stop_every``-th callback, resuming with ``run()`` until a run
-    ends without a stop.  Neither split changes what the callbacks
-    do, so every split must journal like one unbounded run.
-    """
-    sim = Simulator()
-    rng = random.Random(seed)
-    journal = []
-    retained = []
-    budget = [400]
-    stops = [0]
-
-    def work(tag):
-        journal.append((sim.now, tag))
-        if stop_every is not None and len(journal) % stop_every == 0:
-            sim.request_stop()
-            stops[0] += 1
-        if budget[0] <= 0:
-            return
-        budget[0] -= 1
-        if rng.random() < 0.40:
-            sim.schedule(
-                0, lambda: work(tag + 1), priority=rng.choice(PRIORITIES)
-            )
-        if rng.random() < 0.80:
-            sim.schedule(
-                rng.choice((1, 2, 3, rng.randrange(1, 512))),
-                lambda: work(tag + 100),
-                priority=rng.choice(PRIORITIES),
-            )
-        if rng.random() < 0.20:
-            retained.append(
-                sim.schedule(
-                    rng.randrange(0, 12),
-                    lambda: work(-tag),
-                    priority=rng.choice(PRIORITIES),
-                )
-            )
-        if retained and rng.random() < 0.35:
-            retained.pop(rng.randrange(len(retained))).cancel()
-        if rng.random() < 0.10:
-            ev = sim.schedule(0, lambda: journal.append("never"), priority=90)
-            ev.cancel()
-
-    for phase in PRIORITIES:
-        sim.schedule(1, lambda p=phase: work(p), priority=phase)
-    sim.schedule(2, lambda: journal.append((sim.now, "tick")), daemon=True)
-    if profiler is not None:
-        profiler.attach(sim)
-    for bound in bounds + (None,):
-        while True:
-            before = stops[0]
-            sim.run(until=bound)
-            if stops[0] == before:
-                break
-        if bound is not None:
-            assert sim.now == bound
-    journal.append(("end", sim.now, sim.events_dispatched))
-    return journal
-
-
-class TestDeterminism:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rerun_is_identical(self, seed, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        first = _run_program(seed)
-        assert len(first) > 100  # the program must do real work
-        assert _run_program(seed) == first
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert _run_program(seed) == first
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_chained_bounded_runs_match_one_run(self, seed):
-        whole = _run_program(seed)
-        assert _run_program(seed, bounds=(1, 9, 40, 300)) == whole
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_stop_and_resume_matches_one_run(self, seed):
-        whole = _run_program(seed)
-        assert _run_program(seed, stop_every=25) == whole
-        assert _run_program(seed, bounds=(9,), stop_every=7) == whole
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_profiled_run_is_identical(self, seed):
-        whole = _run_program(seed)
-        profiler = PhaseProfiler()
-        assert _run_program(seed, profiler=profiler) == whole
-        assert profiler.events == whole[-1][2]

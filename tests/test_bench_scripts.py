@@ -47,7 +47,7 @@ class TestFindRegressions:
         history = [_record(100_000), _record(150_000)]
         assert find_regressions(history, 0.15)[0] == []
 
-    def test_regression_detected(self):
+    def test_regression_detected_per_backend(self):
         history = [_record(100_000), _record(80_000)]
         regressions, _, _ = find_regressions(history, 0.15)
         assert [r[0] for r in regressions] == ["heap_events_s"]
