@@ -114,12 +114,6 @@ class MasterPort:
         self.ready = False
         self._interconnect = None  # set by Interconnect.attach_port
         self._retry_scheduled_at: Optional[int] = None
-        #: Retry kick events currently in the queue (scheduled, not
-        #: yet fired).  The fast-forward detector sums this over every
-        #: port to account for the full foreground-event population;
-        #: unlike ``_retry_scheduled_at`` it never resets early, so a
-        #: stale retry on an already-drained port is still counted.
-        self._retry_events_live = 0
         #: Called with the completed transaction (set by the master).
         self.on_response: Optional[Callable[[Transaction], None]] = None
         #: Observers of data-beat traffic: ``fn(nbytes, now)``.
@@ -407,10 +401,8 @@ class MasterPort:
         ):
             return
         self._retry_scheduled_at = at_cycle
-        self._retry_events_live += 1
 
         def retry() -> None:
-            self._retry_events_live -= 1
             self._retry_scheduled_at = None
             if self._queued:
                 self._interconnect.kick()

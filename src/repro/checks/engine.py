@@ -43,11 +43,6 @@ _MARKER_RE = re.compile(r"#\s*repro:\s*([a-z][a-z-]*)\s*(?:$|[^[])")
 #: CONC rules in :mod:`repro.checks.rules.conc`.
 FUNCTION_ANCHORS = ("hot", "telemetry-bind", "claim-protocol")
 
-#: Class anchors recognised on/above a ``class`` statement.
-#: ``ff-opt-out`` declares a regulator deliberately outside the
-#: fast-forward analytic contract (see :mod:`repro.checks.rules.ffc`).
-CLASS_ANCHORS = ("ff-opt-out",)
-
 
 @dataclass
 class FunctionInfo:
@@ -60,11 +55,10 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class definition plus its recognised anchors."""
+    """One class definition and its qualified name."""
 
     node: ast.ClassDef
     qualname: str
-    anchors: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -184,7 +178,7 @@ def _comment_tables(
             marker = _MARKER_RE.search(text)
             if marker:
                 name = marker.group(1)
-                if name in FUNCTION_ANCHORS or name in CLASS_ANCHORS:
+                if name in FUNCTION_ANCHORS:
                     anchors.setdefault(line, set()).add(name)
                 else:
                     markers.add(name)
@@ -236,32 +230,15 @@ def _collect_functions(
     return functions
 
 
-def _collect_classes(
-    tree: ast.Module, anchors_by_line: Dict[int, Set[str]]
-) -> List[ClassInfo]:
-    """All class defs with their qualnames and comment anchors.
-
-    Anchor binding mirrors :func:`_collect_functions`: the comment may
-    sit on the ``class`` line, on a decorator line, or on the line
-    directly above the first decorator/class line.
-    """
+def _collect_classes(tree: ast.Module) -> List[ClassInfo]:
+    """All class defs (nested ones included) with their qualnames."""
     classes: List[ClassInfo] = []
 
     def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 qual = f"{prefix}{child.name}"
-                start = min(
-                    [child.lineno]
-                    + [d.lineno for d in child.decorator_list]
-                )
-                bound: Set[str] = set()
-                for line in range(start - 1, child.lineno + 1):
-                    bound.update(
-                        a for a in anchors_by_line.get(line, ())
-                        if a in CLASS_ANCHORS
-                    )
-                classes.append(ClassInfo(child, qual, bound))
+                classes.append(ClassInfo(child, qual))
                 visit(child, f"{qual}.")
             elif not isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
@@ -298,7 +275,7 @@ def build_context(path: str, source: Optional[str] = None) -> ModuleContext:
         markers=markers,
         suppressions=suppressions,
         functions=_collect_functions(tree, anchors),
-        classes=_collect_classes(tree, anchors),
+        classes=_collect_classes(tree),
     )
 
 

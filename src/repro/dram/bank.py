@@ -30,19 +30,6 @@ class Bank:
         """First cycle the bank can start a new command sequence."""
         return self._ready_at
 
-    def settled(self, now: int) -> bool:
-        """True when no command sequence is in flight at ``now``.
-
-        A settled bank has no pending state *transition*: its row
-        buffer holds whatever the last access left, and nothing will
-        change until the controller issues a new command.  The
-        fast-forward engine requires every bank settled before
-        macro-stepping (``ready_at`` in the future means a bank-state
-        transition -- one of the structural horizon boundaries --
-        still lies ahead).
-        """
-        return self._ready_at <= now
-
     def classify(self, row: int) -> str:
         """Classify an access to ``row``: ``hit``/``miss``/``conflict``."""
         if self.open_row is None:

@@ -266,27 +266,6 @@ class DramController:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def ff_quiescent(self, now: int) -> bool:
-        """True when the controller is fully drained at ``now``.
-
-        The fast-forward engine only macro-steps regions where the
-        memory system is provably inert: nothing queued, no posted
-        write draining, no scheduler pass pending, the data bus and
-        pick stage free, and every bank settled (no in-flight command
-        sequence -- a future ``ready_at`` is a bank-state transition
-        and therefore a structural horizon boundary).  Refresh stays
-        safe without being checked here: the refresh daemon is a
-        queued event, and the kernel bounds every macro-step by the
-        queue's next event time.
-        """
-        if self._queue or self._buffered_writes:
-            return False
-        if self._sched_scheduled_at is not None:
-            return False
-        if self._bus_free_at > now or self._pick_free_at > now:
-            return False
-        return all(bank.settled(now) for bank in self.banks)
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

@@ -109,17 +109,6 @@ class WindowedBandwidthMonitor:
     def peak_window_bytes(self) -> int:
         return int(self._series.max_bin())
 
-    def bin_edge_after(self, now: int) -> int:
-        """First window-bin boundary strictly after cycle ``now``.
-
-        A pure helper for the fast-forward engine: window-bin edges
-        are one of the structural horizon terms bounding a macro-step
-        (the monitor itself is passive -- it only accumulates on
-        observed beats -- but keeping regions inside a single bin
-        keeps the invariant trivially auditable).
-        """
-        return (now // self.window_cycles + 1) * self.window_cycles
-
     def mean_bandwidth_bytes_per_cycle(self, horizon_cycles: int) -> float:
         if horizon_cycles <= 0:
             raise ConfigError("horizon must be positive")

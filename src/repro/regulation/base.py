@@ -90,35 +90,6 @@ class BandwidthRegulator:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # fast-forward protocol (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_horizon(self, now: int) -> Optional[int]:
-        """First future cycle at which this regulator's admission
-        decision could change by *time alone* (no traffic in between).
-
-        The fast-forward engine treats the returned cycle as a hard
-        upper bound on any macro-step: a blocked region may never span
-        it.  Returning ``None`` opts the policy out of analytic
-        advancement entirely -- regions containing this regulator stay
-        on the event-accurate path.  The base class opts out, so only
-        policies that explicitly prove their decision function is
-        piecewise-constant in time participate.
-        """
-        return None
-
-    def ff_advance_bulk(self, now: int) -> None:
-        """Settle internal clocks after an analytic macro-step.
-
-        Called once per fast-forwarded region, with ``now`` equal to
-        the last cycle the event-accurate kernel would have consulted
-        this regulator at.  Implementations must leave the regulator
-        in exactly the state a per-cycle denial walk would have --
-        including observable counters.  The base implementation is a
-        no-op (correct for stateless deniers; opted-out policies are
-        never called).
-        """
-
-    # ------------------------------------------------------------------
     # reconfiguration
     # ------------------------------------------------------------------
     def set_budget_bytes(self, budget_bytes: int, now: int) -> int:

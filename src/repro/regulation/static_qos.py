@@ -20,8 +20,6 @@ from repro.monitor.window import WindowedBandwidthMonitor
 from repro.regulation.base import BandwidthRegulator
 
 
-# Pure passthrough (stamps QoS, never denies), so the fast-forward
-# engine never needs a horizon from it.  # repro: ff-opt-out
 class StaticQosRegulator(BandwidthRegulator):
     """Stamp a static AXI QoS value; admit everything.
 

@@ -130,31 +130,6 @@ class TdmaRegulator(BandwidthRegulator):
             )
         return self.schedule.slot_start(self.slot_index, now)
 
-    # ------------------------------------------------------------------
-    # fast-forward protocol
-    # ------------------------------------------------------------------
-    def ff_horizon(self, now: int) -> Optional[int]:
-        """Analytic-advance bound: the next occurrence of our slot.
-
-        A denied head stays denied until the slot next *starts*:
-        inside the current own slot ``cycles_left_in_slot`` only
-        shrinks (so a failed fit keeps failing, and an oversize burst
-        is only ever admitted at a slot-start cycle), and outside the
-        slot ``in_slot`` is False throughout.  The schedule arithmetic
-        is pure, so ``ff_advance_bulk`` stays the base no-op.
-        """
-        if self.schedule.in_slot(self.slot_index, now):
-            horizon = self.schedule.slot_start(
-                self.slot_index, now + self.schedule.cycles_left_in_slot(now)
-            )
-        else:
-            horizon = self.schedule.slot_start(self.slot_index, now)
-        if self.monitor is not None:
-            edge = self.monitor.bin_edge_after(now)
-            if edge < horizon:
-                horizon = edge
-        return horizon
-
     @property
     def time_share(self) -> float:
         """Fraction of the frame owned by this master."""

@@ -151,23 +151,6 @@ class TokenBucket:
         periods = -(-deficit // self.refill_amount)  # ceil division
         return self._last_refill + periods * self.refill_period
 
-    def horizon(self, now: int) -> int:
-        """First refill-period boundary strictly after ``now``.
-
-        Pure (no ``_advance``): the fast-forward engine calls this
-        while *probing* a region, before it has committed to anything,
-        so the read must not move ``refills`` or ``_last_refill``.
-        Between two boundaries the balance is constant, which is the
-        closed-form property the macro-stepper leans on: no admission
-        decision of a bucket-backed regulator can change strictly
-        inside ``(now, horizon(now))`` without traffic.
-        """
-        period = self.refill_period
-        anchor = self._last_refill
-        if now < anchor:
-            return anchor
-        return anchor + ((now - anchor) // period + 1) * period
-
     def reconfigure(
         self,
         now: int,

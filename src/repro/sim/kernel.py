@@ -21,48 +21,15 @@ An attached :class:`repro.telemetry.profiler.PhaseProfiler` is fed
 from the same loop: each callback is bracketed with two clock reads
 only when a profiler is present, so a detached run pays one test of a
 local for ``None`` per event.
-
-One optional layer sits above dispatch: the steady-state
-**fast-forward engine** (``REPRO_FASTFORWARD``, off by default; see
-:mod:`repro.sim.fastforward`).  When attached, the loop offers it
-every peeked cycle; if the entire pending population is a set of
-regulator-blocked open-loop streams it advances the clock to the next
-analytic boundary (token refill, window-bin edge, daemon tick, retry
-kick, ``until``) in one macro-step, emitting the skipped arrivals
-analytically.  Results are byte-identical to event-accurate dispatch;
-only the events-dispatched count differs, and the engine's own
-counters are surfaced through :meth:`Simulator.kernel_stats`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.checks.sanitize import SanitizingQueue, sanitize_enabled
 from repro.errors import SimulationError
 from repro.sim.event import Event, EventQueue
-
-#: Environment variable enabling the steady-state fast-forward engine
-#: (see :mod:`repro.sim.fastforward`; off unless set to an on-value).
-FASTFORWARD_ENV = "REPRO_FASTFORWARD"
-
-
-def resolve_fastforward(enabled: Optional[bool] = None) -> bool:
-    """Resolve the fast-forward knob (argument > env > off).
-
-    Off by default: the engine only pays off on regulation-bound
-    steady streaming, and keeping the event-accurate path the default
-    keeps every existing workflow's telemetry (event counts) unchanged.
-    Results are byte-identical either way.
-    """
-    if enabled is not None:
-        return bool(enabled)
-    # The REPRO_FASTFORWARD knob's resolution point; on/off runs are
-    # byte-identical by contract.  # repro: allow[DET003]
-    value = os.environ.get(FASTFORWARD_ENV, "").strip().lower()
-    return value in ("1", "on", "yes", "true")
-
 
 class Phase:
     """Well-known intra-cycle dispatch phases (lower fires first)."""
@@ -96,9 +63,6 @@ class Simulator:
             # invariant assertions of repro.checks.sanitize.  Dispatch
             # order (and therefore every result) is unchanged.
             self._queue = SanitizingQueue(self._queue)
-        #: Attached :class:`repro.sim.fastforward.FastForwardEngine`
-        #: (None = pure event-accurate dispatch).
-        self._ff: Optional[Any] = None
         self._now = 0
         self._running = False
         self._finished = False
@@ -170,16 +134,6 @@ class Simulator:
         """Register ``fn(now)`` to be invoked when a run completes."""
         self._finalizers.append(fn)
 
-    def attach_fastforward(self, engine: Any) -> None:
-        """Attach a steady-state fast-forward engine.
-
-        The dispatch loop offers the engine every peeked cycle (one
-        ``attempt`` call; its pure pre-checks fail fast, so irregular
-        workloads pay a few attribute reads).  See
-        :mod:`repro.sim.fastforward` for the exactness argument.
-        """
-        self._ff = engine
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -207,7 +161,6 @@ class Simulator:
         pop = queue.pop
         pop_if_at = queue.pop_if_at
         recycle = queue.recycle
-        ff = self._ff
         profiler = self._profiler
         if profiler is not None:
             clock = profiler.clock
@@ -228,10 +181,6 @@ class Simulator:
                 if until is not None and next_time > until:
                     self._now = until
                     break
-                if ff is not None and ff.attempt(next_time, until):
-                    # Macro-stepped: the engine advanced the clock over
-                    # a steady region; peek again.
-                    continue
                 event = pop()
                 self._now = next_time
                 # Dispatch this cycle: the first event, then the rest
@@ -275,11 +224,7 @@ class Simulator:
         ``dispatch_mode`` is always ``"event"`` and the
         ``auto_promotions`` / ``batch_promotions`` counters are always
         0: the kernel has one queue and one dispatch loop, and the keys
-        stay because the ``perfbench`` harness reports them.  With a
-        fast-forward engine attached, ``ff_regions``,
-        ``ff_cycles_skipped`` and ``ff_arrivals`` report its activity
-        (macro-stepped regions, cycles covered, arrivals emitted
-        analytically).
+        stay because the ``perfbench`` harness reports them.
         """
         stats: Dict[str, Any] = {
             "dispatch_mode": "event",
@@ -288,11 +233,6 @@ class Simulator:
             "auto_promotions": 0,
             "batch_promotions": 0,
         }
-        ff = self._ff
-        if ff is not None:
-            stats["ff_regions"] = ff.regions
-            stats["ff_cycles_skipped"] = ff.cycles_skipped
-            stats["ff_arrivals"] = ff.arrivals_emitted
         stats.update(self._queue.stats())
         return stats
 

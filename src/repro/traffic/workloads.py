@@ -108,9 +108,9 @@ def _open_loop_stream(sim, port, base, extent, seed, work) -> Master:
     # Interrupt-driven sensor/telemetry DMA: short bursts arrive on an
     # external Poisson clock whatever the congestion (open loop), so
     # under regulation they pile up in the port queue instead of
-    # self-throttling.  The fast offered rate makes this the
-    # regulation-bound steady-streaming shape the fast-forward engine
-    # targets (and the bench_smoke scenario that measures it).
+    # self-throttling.  The offered rate (a 64-byte burst every ~2
+    # cycles on average) is far above what one port carries, so the
+    # port queue stays backed up.
     pattern = SequentialPattern(base, extent, 64)
     requests = None if work is None else max(1, work // 64)
     cfg = OpenLoopConfig(

@@ -1,4 +1,4 @@
-"""CONC and FFC rule families against seeded violation fixtures."""
+"""The CONC rule family against seeded violation fixtures."""
 
 import textwrap
 
@@ -209,144 +209,3 @@ class TestConc004UnclaimedWrite:
             ),
         )
         assert rule_ids(result) == []
-
-
-REGULATOR_BASE = textwrap.dedent(
-    """\
-    class BandwidthRegulator:
-        def ff_horizon(self, now):
-            return None
-
-        def ff_advance_bulk(self, now):
-            pass
-    """
-)
-
-
-class TestFfcContract:
-    def test_stub_missing_contract_flagged(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                class StubRegulator(BandwidthRegulator):
-                    def may_issue(self, txn, now):
-                        return True
-                """
-            ),
-        )
-        assert rule_ids(result) == ["FFC001"]
-        assert "StubRegulator" in result.findings[0].message
-
-    def test_implementing_horizon_is_clean(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                class GoodRegulator(BandwidthRegulator):
-                    def ff_horizon(self, now):
-                        return now + 1
-
-                    def ff_advance_bulk(self, now):
-                        pass
-                """
-            ),
-        )
-        assert rule_ids(result) == []
-
-    def test_opt_out_anchor_is_clean(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                # repro: ff-opt-out
-                class PassthroughRegulator(BandwidthRegulator):
-                    def may_issue(self, txn, now):
-                        return True
-                """
-            ),
-        )
-        assert rule_ids(result) == []
-
-    def test_inherited_horizon_satisfies_subclass(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                class GoodRegulator(BandwidthRegulator):
-                    def ff_horizon(self, now):
-                        return now + 1
-
-                class Derived(GoodRegulator):
-                    pass
-                """
-            ),
-        )
-        assert rule_ids(result) == []
-
-
-class TestFfcSignature:
-    def test_wrong_parameter_name_flagged(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                class SkewedRegulator(BandwidthRegulator):
-                    def ff_horizon(self, cycle):
-                        return cycle + 1
-                """
-            ),
-        )
-        assert "FFC002" in rule_ids(result)
-
-    def test_extra_parameter_flagged(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                class WideRegulator(BandwidthRegulator):
-                    def ff_horizon(self, now, slack=0):
-                        return now + slack
-                """
-            ),
-        )
-        assert "FFC002" in rule_ids(result)
-
-    def test_async_override_flagged(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            REGULATOR_BASE + textwrap.dedent(
-                """\
-
-                class SleepyRegulator(BandwidthRegulator):
-                    async def ff_horizon(self, now):
-                        return now + 1
-                """
-            ),
-        )
-        assert "FFC002" in rule_ids(result)
-
-
-class TestFfcOrphanAdvance:
-    def test_advance_without_horizon_warns(self, tmp_path):
-        result = deep_fixture(
-            tmp_path,
-            """\
-            class BandwidthRegulator:
-                pass
-
-            # repro: ff-opt-out
-            class HalfRegulator(BandwidthRegulator):
-                def ff_advance_bulk(self, now):
-                    pass
-            """,
-        )
-        assert rule_ids(result) == ["FFC003"]
-        assert result.errors == []
-        assert [f.rule_id for f in result.warnings] == ["FFC003"]

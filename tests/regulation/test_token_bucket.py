@@ -155,46 +155,6 @@ class TestNextAvailableEdges:
             tb.next_available(101, 0)
 
 
-class TestHorizon:
-    """The pure boundary probe the fast-forward engine leans on."""
-
-    def test_first_boundary_strictly_after_now(self):
-        tb = TokenBucket(100, 10, 50)
-        assert tb.horizon(0) == 50
-        assert tb.horizon(49) == 50
-        assert tb.horizon(50) == 100
-
-    def test_pure_no_state_advance(self):
-        tb = TokenBucket(100, 40, 50)
-        tb.try_consume(100, 0)
-        tb.horizon(499)
-        # A mutating read at an earlier cycle still succeeds: horizon
-        # must not have advanced the bucket clock.
-        assert tb.tokens_at(50) == 40
-
-    def test_tracks_refill_anchor_after_advance(self):
-        tb = TokenBucket(100, 10, 50, initial=0)
-        tb.tokens_at(120)  # anchor moves to 100
-        assert tb.horizon(120) == 150
-        assert tb.horizon(150) == 200
-
-    @given(
-        period=st.integers(1, 500),
-        advance=st.integers(0, 5_000),
-        probe=st.integers(0, 5_000),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_horizon_property(self, period, advance, probe):
-        tb = TokenBucket(100, 10, period)
-        tb.tokens_at(advance)
-        now = advance + probe
-        at = tb.horizon(now)
-        assert at > now
-        assert at - now <= period
-        # Boundary alignment relative to the anchor.
-        assert (at - tb._last_refill) % period == 0
-
-
 class TestReconfigure:
     def test_shrink_clamps_tokens(self):
         tb = TokenBucket(100, 10, 50)
